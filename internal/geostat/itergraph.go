@@ -35,17 +35,47 @@ type IterationSpec struct {
 // runtime: generation tasks (CPU-only, spread over the generation nodes),
 // the tiled Cholesky DAG (over the factorization nodes, fine-grained
 // dependencies letting the phases overlap), and the small solve /
-// determinant / dot-product chains.
+// determinant / dot-product chains. It compiles the iteration's template
+// and submits it — the path every simulation takes; callers that
+// simulate many node counts of one shape compile once and Submit per run.
 func BuildIterationGraph(rt *taskrt.Runtime, spec IterationSpec) error {
-	if spec.Tiles <= 0 || spec.TileSize <= 0 {
-		return fmt.Errorf("geostat: bad iteration spec %+v", spec)
+	tp, err := CompileIteration(spec)
+	if err != nil {
+		return err
 	}
-	if len(spec.GenSpeeds) == 0 || len(spec.FactSpeeds) == 0 {
-		return fmt.Errorf("geostat: empty node speed sets")
+	return tp.Submit(rt, spec.FactSpeeds)
+}
+
+// IterationTemplate is the compiled task graph of one iteration shape:
+// task kinds, costs, priorities and dependencies for given tiles, tile
+// size, tile bytes and generation speeds. It is immutable once built and
+// holds no per-run state or result, so any number of runtimes may Submit
+// it concurrently; only the factorization placement depends on the node
+// count a run is given.
+type IterationTemplate struct {
+	tiles int
+	// graph's places [0, nTiles) are the lower-triangle tiles in
+	// row-major order, resolved to their factorization owners per
+	// Submit; place nTiles+k is generation node k.
+	graph  *taskrt.Graph
+	nTiles int
+	nGen   int
+}
+
+// CompileIteration builds the template of spec's iteration shape.
+// spec.FactSpeeds is not used: it is supplied per Submit.
+func CompileIteration(spec IterationSpec) (*IterationTemplate, error) {
+	if spec.Tiles <= 0 || spec.TileSize <= 0 {
+		return nil, fmt.Errorf("geostat: bad iteration spec %+v", spec)
+	}
+	if len(spec.GenSpeeds) == 0 {
+		return nil, fmt.Errorf("geostat: empty node speed sets")
 	}
 	T := spec.Tiles
+	nTiles := T * (T + 1) / 2
+	g := taskrt.NewGraph(nTiles + len(spec.GenSpeeds))
+	tile := func(i, j int) int { return i*(i+1)/2 + j }
 	genDist := distribution.GenerationDist(T, spec.GenSpeeds)
-	factDist := distribution.WeightedGrid(T, spec.FactSpeeds)
 
 	b := float64(spec.TileSize)
 	genFlops := b * b * GenFlopsPerElement
@@ -58,26 +88,25 @@ func BuildIterationGraph(rt *taskrt.Runtime, spec IterationSpec) error {
 		producers[i] = make([]*taskrt.Task, i+1)
 		for j := 0; j <= i; j++ {
 			prio := int64(T-j) * 4
-			producers[i][j] = rt.NewTask(
-				fmt.Sprintf("gen(%d,%d)", i, j), "gen",
-				genFlops, genDist.Owner(i, j), true, prio)
+			producers[i][j] = g.Add(taskrt.NewName("gen", i, j), "gen",
+				genFlops, nTiles+genDist.Owner(i, j), true, prio)
 		}
 	}
 
-	potrfs := cholesky.BuildDAG(rt, T, spec.TileBytes,
-		cholesky.KernelCosts(spec.TileSize), factDist.Owner, producers)
+	potrfs := cholesky.BuildDAG(g, T, spec.TileBytes,
+		cholesky.KernelCosts(spec.TileSize), tile, producers)
 
 	// Solve: tiled forward/backward substitution approximated as a chain
 	// of per-diagonal tasks gated by the panel roots.
-	const g = 1e-9
+	const gf = 1e-9
 	vecBytes := b * 8
-	trsvFlops := 2 * b * b * g
+	trsvFlops := 2 * b * b * gf
 	var prev *taskrt.Task
 	for k := 0; k < T; k++ {
-		s := rt.NewTask(fmt.Sprintf("solve(%d)", k), "solve",
-			trsvFlops, factDist.Owner(k, k), false, 2)
-		rt.AddDep(s, potrfs[k], spec.TileBytes)
-		rt.AddDep(s, prev, vecBytes)
+		s := g.Add(taskrt.NewName("solve", k), "solve",
+			trsvFlops, tile(k, k), false, 2)
+		g.AddDep(s, potrfs[k], spec.TileBytes)
+		g.AddDep(s, prev, vecBytes)
 		prev = s
 	}
 	solveTail := prev
@@ -85,17 +114,41 @@ func BuildIterationGraph(rt *taskrt.Runtime, spec IterationSpec) error {
 	// Determinant: per-diagonal log-sums reduced along a chain.
 	var dprev *taskrt.Task
 	for k := 0; k < T; k++ {
-		d := rt.NewTask(fmt.Sprintf("det(%d)", k), "det",
-			b*g, factDist.Owner(k, k), false, 1)
-		rt.AddDep(d, potrfs[k], 0)
-		rt.AddDep(d, dprev, 8)
+		d := g.Add(taskrt.NewName("det", k), "det",
+			b*gf, tile(k, k), false, 1)
+		g.AddDep(d, potrfs[k], 0)
+		g.AddDep(d, dprev, 8)
 		dprev = d
 	}
 
 	// Dot product: consumes the solve result.
-	dot := rt.NewTask("dot", "dot", 2*b*float64(T)*g,
-		factDist.Owner(T-1, T-1), false, 0)
-	rt.AddDep(dot, solveTail, vecBytes)
-	rt.AddDep(dot, dprev, 8)
+	dot := g.Add(taskrt.NewName("dot"), "dot", 2*b*float64(T)*gf,
+		tile(T-1, T-1), false, 0)
+	g.AddDep(dot, solveTail, vecBytes)
+	g.AddDep(dot, dprev, 8)
+	g.Freeze()
+	return &IterationTemplate{tiles: T, graph: g, nTiles: nTiles, nGen: len(spec.GenSpeeds)}, nil
+}
+
+// Submit instantiates the template on an empty runtime with the
+// factorization distributed over nodes 0..len(factSpeeds)-1
+// (owner-computes over the weighted 2D grid).
+func (tp *IterationTemplate) Submit(rt *taskrt.Runtime, factSpeeds []float64) error {
+	if len(factSpeeds) == 0 {
+		return fmt.Errorf("geostat: empty node speed sets")
+	}
+	factDist := distribution.WeightedGrid(tp.tiles, factSpeeds)
+	nodeOf := make([]int, tp.nTiles+tp.nGen)
+	p := 0
+	for i := 0; i < tp.tiles; i++ {
+		for j := 0; j <= i; j++ {
+			nodeOf[p] = factDist.Owner(i, j)
+			p++
+		}
+	}
+	for k := 0; k < tp.nGen; k++ {
+		nodeOf[tp.nTiles+k] = k
+	}
+	rt.Submit(tp.graph, nodeOf)
 	return nil
 }

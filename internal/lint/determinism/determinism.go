@@ -55,10 +55,13 @@ var wallClockFuncs = map[string]bool{
 }
 
 // orderSinks are method names through which a map-ordered value would
-// reach an event queue, hash, stream or strategy.
+// reach an event queue, hash, stream or strategy. The DES scheduling
+// calls are sinks because the event queue breaks time ties by insertion
+// sequence.
 var orderSinks = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 	"Push": true, "Schedule": true, "Observe": true, "Record": true,
+	"After": true, "AfterHandler": true,
 	"Print": true, "Printf": true, "Println": true,
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
 	"Encode": true,

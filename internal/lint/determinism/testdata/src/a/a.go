@@ -62,6 +62,18 @@ func mapOrderIntoQueue(m map[string]int, q *queue) {
 	}
 }
 
+type clock struct{}
+
+func (*clock) After(float64, func()) {}
+
+// Completions rescheduled in map order get map-ordered event sequence
+// numbers, so same-instant events fire in a different order per run.
+func mapOrderIntoEvents(m map[string]float64, c *clock) {
+	for _, eta := range m {
+		c.After(eta, func() {}) // want `call to method After inside map iteration`
+	}
+}
+
 func mapOrderSafe(m map[string]int) (int, []string) {
 	// Pure accumulation is order-independent.
 	sum := 0

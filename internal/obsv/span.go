@@ -221,8 +221,10 @@ func (sc *SpanCtx) SpanLink(cat, name string) (TraceContext, func(args map[strin
 func (sc *SpanCtx) Tracing() bool { return sc != nil }
 
 // noopEnd is the shared end func returned from nil span contexts so the
-// disabled path allocates nothing.
-var noopEnd = func(map[string]any) {}
+// disabled path allocates nothing. It is a declared function, not a
+// func variable, so an inlined Span on a nil context ends in a direct
+// call the compiler can elide.
+func noopEnd(map[string]any) {}
 
 // Span opens a wall-clock span on this request's track and returns the
 // func that closes it; args passed at close are attached to the event.
@@ -231,6 +233,12 @@ func (sc *SpanCtx) Span(cat, name string) func(args map[string]any) {
 	if sc == nil {
 		return noopEnd
 	}
+	return sc.span(cat, name)
+}
+
+// span is Span's recording path, kept out of line so the nil-context
+// check inlines at every call site.
+func (sc *SpanCtx) span(cat, name string) func(args map[string]any) {
 	start := sc.rec.now()
 	return func(args map[string]any) {
 		end := sc.rec.now()

@@ -14,6 +14,31 @@ type Fast struct {
 	upCnt   []int
 	downCnt []int
 	bbCnt   int
+	// free recycles completion records: one is built per concurrently
+	// outstanding transfer, not per transfer, carved out of slab.
+	free []*fastTransfer
+	slab []fastTransfer
+}
+
+// fastTransfer is an in-flight transfer and, as a des.Handler, its own
+// completion event.
+type fastTransfer struct {
+	f        *Fast
+	src, dst int
+	done     func()
+}
+
+// Fire releases the transfer's share of its path, recycles the record
+// and completes the transfer.
+func (tr *fastTransfer) Fire() {
+	f := tr.f
+	f.upCnt[tr.src]--
+	f.downCnt[tr.dst]--
+	f.bbCnt--
+	done := tr.done
+	tr.done = nil
+	f.free = append(f.free, tr)
+	done()
 }
 
 // NewFast builds a frozen-rate network over n nodes.
@@ -45,10 +70,18 @@ func (f *Fast) Transfer(src, dst int, bytes float64, done func()) {
 		}
 	}
 	dur := f.topo.Latency + bytes/rate
-	f.eng.After(dur, func() {
-		f.upCnt[src]--
-		f.downCnt[dst]--
-		f.bbCnt--
-		done()
-	})
+	var tr *fastTransfer
+	if n := len(f.free); n > 0 {
+		tr = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		if len(f.slab) == 0 {
+			f.slab = make([]fastTransfer, 64)
+		}
+		tr = &f.slab[0]
+		f.slab = f.slab[1:]
+		tr.f = f
+	}
+	tr.src, tr.dst, tr.done = src, dst, done
+	f.eng.AfterHandler(dur, tr)
 }

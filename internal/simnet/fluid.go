@@ -9,7 +9,10 @@ import (
 // link is a capacity-constrained resource in the fluid model.
 type link struct {
 	capacity float64
-	flows    map[*flow]struct{}
+	flows    []*flow // in arrival order
+	// progressive-filling scratch state, valid during recompute.
+	residual float64
+	active   int
 }
 
 // flow is an in-progress transfer in the fluid model.
@@ -17,34 +20,56 @@ type flow struct {
 	remaining float64
 	rate      float64
 	updated   float64 // sim time of the last remaining/rate update
-	path      []*link
+	path      [3]*link
+	nPath     int
+	frozen    bool // rate fixed in the current progressive filling
 	done      func()
 	ev        *des.Event
+	f         *Fluid
+	src, dst  int
 }
+
+// flowStart and flowEnd are a flow's latency-segment and completion
+// events: des.Handlers over the flow record itself, so rescheduling a
+// flow allocates nothing.
+type (
+	flowStart flow
+	flowEnd   flow
+)
+
+func (s *flowStart) Fire() { s.f.begin((*flow)(s)) }
+func (e *flowEnd) Fire()   { e.f.end((*flow)(e)) }
 
 // Fluid is the exact max-min fair network model. Rates are recomputed by
 // progressive filling whenever a flow starts or finishes, and completion
 // events are rescheduled accordingly.
+//
+// Every iteration order is fixed — flows in arrival order, links in the
+// order up[0..n), down[0..n), backbone — so bottleneck tie-breaks and
+// the order completions are rescheduled in never depend on map order,
+// and identical simulations are bit-identical.
 type Fluid struct {
 	eng   *des.Engine
 	topo  Topology
+	links []*link // up[0..n), down[0..n), then the backbone if any
 	up    []*link
 	down  []*link
 	bb    *link
-	flows map[*flow]struct{}
+	flows []*flow // active flows in arrival order
+	free  []*flow // finished flow records for reuse
 }
 
 // NewFluid builds a fluid network over n nodes.
 func NewFluid(eng *des.Engine, n int, topo Topology) *Fluid {
-	f := &Fluid{eng: eng, topo: topo, flows: make(map[*flow]struct{})}
-	f.up = make([]*link, n)
-	f.down = make([]*link, n)
-	for i := 0; i < n; i++ {
-		f.up[i] = &link{capacity: topo.NICBandwidth, flows: map[*flow]struct{}{}}
-		f.down[i] = &link{capacity: topo.NICBandwidth, flows: map[*flow]struct{}{}}
+	f := &Fluid{eng: eng, topo: topo}
+	f.links = make([]*link, 0, 2*n+1)
+	for i := 0; i < 2*n; i++ {
+		f.links = append(f.links, &link{capacity: topo.NICBandwidth})
 	}
+	f.up, f.down = f.links[:n], f.links[n:2*n]
 	if topo.BackboneBandwidth > 0 {
-		f.bb = &link{capacity: topo.BackboneBandwidth, flows: map[*flow]struct{}{}}
+		f.bb = &link{capacity: topo.BackboneBandwidth}
+		f.links = append(f.links, f.bb)
 	}
 	return f
 }
@@ -55,35 +80,62 @@ func (f *Fluid) Transfer(src, dst int, bytes float64, done func()) {
 		f.eng.After(localCopyLatency, done)
 		return
 	}
+	var fl *flow
+	if n := len(f.free); n > 0 {
+		fl = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		fl = &flow{f: f}
+	}
+	fl.src, fl.dst, fl.remaining, fl.rate, fl.done = src, dst, bytes, 0, done
 	// The latency segment precedes the fluid segment.
-	f.eng.After(f.topo.Latency, func() {
-		path := []*link{f.up[src], f.down[dst]}
-		if f.bb != nil {
-			path = append(path, f.bb)
-		}
-		fl := &flow{remaining: bytes, updated: f.eng.Now(), path: path, done: done}
-		f.flows[fl] = struct{}{}
-		for _, l := range path {
-			l.flows[fl] = struct{}{}
-		}
-		f.recompute()
-	})
+	f.eng.AfterHandler(f.topo.Latency, (*flowStart)(fl))
+}
+
+// begin enters a flow into the fluid segment once its latency elapsed.
+func (f *Fluid) begin(fl *flow) {
+	fl.updated = f.eng.Now()
+	fl.path[0], fl.path[1], fl.nPath = f.up[fl.src], f.down[fl.dst], 2
+	if f.bb != nil {
+		fl.path[2], fl.nPath = f.bb, 3
+	}
+	f.flows = append(f.flows, fl)
+	for _, l := range fl.path[:fl.nPath] {
+		l.flows = append(l.flows, fl)
+	}
+	f.recompute()
 }
 
 // ActiveFlows returns the number of in-progress fluid flows (excludes
 // transfers still in their latency segment).
 func (f *Fluid) ActiveFlows() int { return len(f.flows) }
 
-// finish removes the flow and fires its completion callback.
-func (f *Fluid) finish(fl *flow) {
-	delete(f.flows, fl)
-	for _, l := range fl.path {
-		delete(l.flows, fl)
+// end removes the flow and fires its completion callback.
+func (f *Fluid) end(fl *flow) {
+	f.flows = remove(f.flows, fl)
+	for _, l := range fl.path[:fl.nPath] {
+		l.flows = remove(l.flows, fl)
 	}
 	fl.remaining = 0
+	fl.ev = nil
 	done := fl.done
+	fl.done = nil
+	fl.path = [3]*link{}
+	f.free = append(f.free, fl)
 	f.recompute()
 	done()
+}
+
+// remove deletes fl from s, keeping the others in order.
+func remove(s []*flow, fl *flow) []*flow {
+	for i, x := range s {
+		if x == fl {
+			copy(s[i:], s[i+1:])
+			s[len(s)-1] = nil
+			return s[:len(s)-1]
+		}
+	}
+	return s
 }
 
 // recompute updates every flow's progress, solves the max-min share
@@ -91,43 +143,28 @@ func (f *Fluid) finish(fl *flow) {
 func (f *Fluid) recompute() {
 	now := f.eng.Now()
 	// Progress accounting at the old rates.
-	for fl := range f.flows {
+	for _, fl := range f.flows {
 		fl.remaining -= fl.rate * (now - fl.updated)
 		if fl.remaining < 0 {
 			fl.remaining = 0
 		}
 		fl.updated = now
+		fl.frozen = false
 	}
 	// Progressive filling.
-	type state struct {
-		residual float64
-		active   int
+	for _, l := range f.links {
+		l.residual, l.active = l.capacity, len(l.flows)
 	}
-	st := map[*link]*state{}
-	collect := func(l *link) {
-		if l != nil && len(l.flows) > 0 {
-			st[l] = &state{residual: l.capacity, active: len(l.flows)}
-		}
-	}
-	for _, l := range f.up {
-		collect(l)
-	}
-	for _, l := range f.down {
-		collect(l)
-	}
-	collect(f.bb)
-
-	frozen := map[*flow]bool{}
-	for len(frozen) < len(f.flows) {
+	for nFrozen := 0; nFrozen < len(f.flows); {
 		// Find the link with the smallest fair share among links that
-		// still carry unfrozen flows.
+		// still carry unfrozen flows; the first in link order wins ties.
 		var bottleneck *link
 		share := math.Inf(1)
-		for l, s := range st {
-			if s.active == 0 {
+		for _, l := range f.links {
+			if l.active == 0 {
 				continue
 			}
-			if cand := s.residual / float64(s.active); cand < share {
+			if cand := l.residual / float64(l.active); cand < share {
 				share, bottleneck = cand, l
 			}
 		}
@@ -137,24 +174,24 @@ func (f *Fluid) recompute() {
 		if share < 0 {
 			share = 0
 		}
-		for fl := range bottleneck.flows {
-			if frozen[fl] {
+		for _, fl := range bottleneck.flows {
+			if fl.frozen {
 				continue
 			}
-			frozen[fl] = true
+			fl.frozen = true
+			nFrozen++
 			fl.rate = share
-			for _, l := range fl.path {
-				s := st[l]
-				s.residual -= share
-				if s.residual < 0 {
-					s.residual = 0
+			for _, l := range fl.path[:fl.nPath] {
+				l.residual -= share
+				if l.residual < 0 {
+					l.residual = 0
 				}
-				s.active--
+				l.active--
 			}
 		}
 	}
 	// Reschedule completions.
-	for fl := range f.flows {
+	for _, fl := range f.flows {
 		f.eng.Cancel(fl.ev)
 		var eta float64
 		if fl.remaining <= 1e-12 {
@@ -166,7 +203,6 @@ func (f *Fluid) recompute() {
 		} else {
 			eta = fl.remaining / fl.rate
 		}
-		target := fl
-		fl.ev = f.eng.After(eta, func() { f.finish(target) })
+		fl.ev = f.eng.AfterHandler(eta, (*flowEnd)(fl))
 	}
 }

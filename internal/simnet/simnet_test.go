@@ -228,3 +228,62 @@ func TestFluidActiveFlowsAccounting(t *testing.T) {
 		t.Fatalf("ActiveFlows = %d after completion", net.ActiveFlows())
 	}
 }
+
+// fluidRun drives an all-to-all exchange through a fluid network and
+// returns the completion time of every transfer, in start order. Each
+// completion starts a follow-up transfer, so the order same-instant
+// completions run in feeds back into the flow set. With ties set,
+// every transfer has the same size and starts at the same instant, so
+// bottleneck shares tie across links and completions coincide.
+func fluidRun(ties bool) []float64 {
+	const n = 6
+	eng := des.NewEngine()
+	net := NewFluid(eng, n, topo(1e3/3, 1e3/7, 0.01))
+	var done []float64
+	var start func(src, dst int, bytes float64, hops int)
+	start = func(src, dst int, bytes float64, hops int) {
+		i := len(done)
+		done = append(done, -1)
+		net.Transfer(src, dst, bytes, func() {
+			done[i] = eng.Now()
+			if hops > 0 {
+				start(dst, (dst+1+hops)%n, bytes*(1+0.1*float64(src)), hops-1)
+			}
+		})
+	}
+	k := 0
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			bytes, at := 100.0, 0.0
+			if !ties {
+				bytes, at = float64(50+(k*37)%90), float64(k%5)*0.3
+			}
+			k++
+			src, dst := src, dst
+			eng.Schedule(at, func() { start(src, dst, bytes, 2) })
+		}
+	}
+	eng.Run()
+	return done
+}
+
+func TestFluidBitReproducible(t *testing.T) {
+	for _, ties := range []bool{true, false} {
+		ref := fluidRun(ties)
+		for run := 0; run < 10; run++ {
+			got := fluidRun(ties)
+			if len(got) != len(ref) {
+				t.Fatalf("ties=%v run %d: %d transfers, first run %d", ties, run, len(got), len(ref))
+			}
+			for i := range ref {
+				if ref[i] < 0 || math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("ties=%v run %d: transfer %d done at %v, first run %v",
+						ties, run, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+}
