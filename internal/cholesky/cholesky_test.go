@@ -159,27 +159,48 @@ func TestTaskCount(t *testing.T) {
 	}
 }
 
+// runGraph freezes g and runs it on rt with place p on node p.
+func runGraph(rt *taskrt.Runtime, g *taskrt.Graph, places int) float64 {
+	g.Freeze()
+	nodeOf := make([]int, places)
+	for p := range nodeOf {
+		nodeOf[p] = p
+	}
+	rt.Submit(g, nodeOf)
+	return rt.Run()
+}
+
+// finishLog records each executed task's completion time by ID.
+type finishLog map[int]float64
+
+func (finishLog) TaskStarted(*taskrt.Task, string, float64)           {}
+func (l finishLog) TaskFinished(t *taskrt.Task, _ string, at float64) { l[t.ID] = at }
+
 func TestBuildDAGTaskCountAndCompletion(t *testing.T) {
 	eng := des.NewEngine()
 	topo := simnet.Topology{NICBandwidth: 1e12, Latency: 0}
 	net := simnet.NewFluid(eng, 2, topo)
 	rt := taskrt.New(eng, []taskrt.NodeSpec{{CPUSpeed: 10}, {CPUSpeed: 10}}, net)
 	rt.TaskOverhead = 0
+	finished := finishLog{}
+	rt.SetObserver(finished)
 	owner := func(i, j int) int { return j % 2 }
 	T := 6
-	potrfs := BuildDAG(rt, T, 1000, KernelCosts(10), owner, nil)
+	g := taskrt.NewGraph(2)
+	potrfs := BuildDAG(g, T, 1000, KernelCosts(10), owner, nil)
+	mk := runGraph(rt, g, 2)
 	if rt.NumTasks() != TaskCount(T) {
 		t.Fatalf("tasks = %d, want %d", rt.NumTasks(), TaskCount(T))
 	}
-	mk := rt.Run()
 	if mk <= 0 {
 		t.Fatalf("makespan = %v", mk)
 	}
 	for k, p := range potrfs {
-		if !p.Done() {
+		at, ok := finished[p.ID]
+		if !ok {
 			t.Fatalf("potrf %d not executed", k)
 		}
-		if k > 0 && potrfs[k].Finished() < potrfs[k-1].Finished() {
+		if k > 0 && at < finished[potrfs[k-1].ID] {
 			t.Fatal("potrf panel order violated")
 		}
 	}
@@ -194,6 +215,7 @@ func TestBuildDAGRespectsGenerationProducers(t *testing.T) {
 	rt := taskrt.New(eng, []taskrt.NodeSpec{{CPUSpeed: 1, GPUSpeeds: []float64{1, 1, 1}}}, net)
 	rt.TaskOverhead = 0
 	T := 3
+	g := taskrt.NewGraph(1)
 	producers := make([][]*taskrt.Task, T)
 	for i := range producers {
 		producers[i] = make([]*taskrt.Task, i+1)
@@ -202,11 +224,11 @@ func TestBuildDAGRespectsGenerationProducers(t *testing.T) {
 			if i == 0 && j == 0 {
 				cost = 1000
 			}
-			producers[i][j] = rt.NewTask("gen", "gen", cost, 0, true, 100)
+			producers[i][j] = g.Add(taskrt.NewName("gen"), "gen", cost, 0, true, 100)
 		}
 	}
-	BuildDAG(rt, T, 0, KernelCosts(10), func(i, j int) int { return 0 }, producers)
-	mk := rt.Run()
+	BuildDAG(g, T, 0, KernelCosts(10), func(i, j int) int { return 0 }, producers)
+	mk := runGraph(rt, g, 1)
 	if mk < 1000 {
 		t.Fatalf("makespan = %v: factorization did not wait for generation", mk)
 	}
@@ -224,9 +246,10 @@ func TestBuildDAGMoreNodesFasterWhenCommFree(t *testing.T) {
 		}
 		rt := taskrt.New(eng, specs, net)
 		rt.TaskOverhead = 0
-		BuildDAG(rt, 12, 100, KernelCosts(10),
+		g := taskrt.NewGraph(nodes)
+		BuildDAG(g, 12, 100, KernelCosts(10),
 			func(i, j int) int { return j % nodes }, nil)
-		return rt.Run()
+		return runGraph(rt, g, nodes)
 	}
 	t1, t4 := run(1), run(4)
 	if t4 >= t1 {

@@ -778,6 +778,7 @@ func (e *Engine) SweepCtx(ctx context.Context, sc platform.Scenario, opts harnes
 		return nil, ErrClosed
 	}
 	ev := harness.NewEvaluator(sc, opts)
+	batch := ev.Batch() // one template for this sweep's cold actions
 	actions := ev.Actions()
 	res := &SweepResult{
 		Scenario:    sc.Name,
@@ -794,7 +795,7 @@ func (e *Engine) SweepCtx(ctx context.Context, sc platform.Scenario, opts harnes
 			}
 			var v float64
 			var verr error
-			if derr := e.pool.DoCtx(ctx, func() { v, verr = ev.Evaluate(a) }); derr != nil {
+			if derr := e.pool.DoCtx(ctx, func() { v, verr = batch.Evaluate(a) }); derr != nil {
 				return 0, derr
 			}
 			return v, verr

@@ -390,6 +390,27 @@ func reopenJournal(dir string, st *sessionState, every int, tel *obsv.Telemetry)
 	}, nil
 }
 
+// removeStaleSnapshotTemps deletes the temp files of snapshot writes
+// that a crash interrupted before their rename ("<id>.snap.json.tmp-*",
+// see fsutil.WriteFileAtomic). The rename never happened, so the old
+// snapshot and the journal still hold every committed op: the temp file
+// is garbage that would otherwise stay in the directory for good.
+func removeStaleSnapshotTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("engine: read journal dir: %w", err)
+	}
+	for _, e := range entries {
+		if !strings.Contains(e.Name(), ".snap.json.tmp-") {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return fmt.Errorf("engine: remove stale snapshot temp: %w", err)
+		}
+	}
+	return nil
+}
+
 // listSessionIDs scans a journal directory for session IDs, in stable
 // numeric order (s1, s2, ..., s10).
 func listSessionIDs(dir string) ([]string, error) {

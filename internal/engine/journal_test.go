@@ -153,6 +153,39 @@ func TestRecoverAfterGracefulClose(t *testing.T) {
 	sameResult(t, "graceful close", before, after)
 }
 
+// TestRecoverRemovesStaleSnapshotTemp: a crash inside a snapshot's
+// atomic write leaves its temp file behind; recovery deletes it and
+// restores the session from the files the write never replaced.
+func TestRecoverRemovesStaleSnapshotTemp(t *testing.T) {
+	dir := t.TempDir()
+	e := NewWithOptions(Options{Workers: 2, JournalDir: dir})
+	s, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "DC", Seed: 5, Tiles: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stepScript(t, e, s.id)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := snapshotPath(dir, s.id) + ".tmp-123456"
+	if err := os.WriteFile(stale, []byte(`{"id":"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
+	if _, err := rec.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale snapshot temp survived recovery: %v", err)
+	}
+	after, err := rec.Result(s.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "stale temp", before, after)
+}
+
 // TestRecoverTornTail: a crash mid-append leaves a partial final line;
 // recovery drops it (that op never committed) and keeps everything
 // before it.

@@ -49,6 +49,9 @@ func (e *Engine) Recover() ([]RecoveredSession, error) {
 	}
 	e.mu.Unlock()
 
+	if err := removeStaleSnapshotTemps(e.journalDir); err != nil {
+		return nil, err
+	}
 	ids, err := listSessionIDs(e.journalDir)
 	if err != nil {
 		return nil, err

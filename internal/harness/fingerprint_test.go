@@ -67,3 +67,39 @@ func TestEvaluatorConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// A cold Batch evaluated from several goroutines at once compiles one
+// template and gives every action the makespan a one-shot Evaluate
+// gives.
+func TestBatchConcurrentMatchesEvaluate(t *testing.T) {
+	sc, _ := platform.ScenarioByKey("b")
+	ev := NewEvaluator(sc, SimOptions{Tiles: 6})
+	actions := ev.Actions()
+	b := ev.Batch()
+	got := make([]float64, len(actions))
+	errs := make([]error, len(actions))
+	var wg sync.WaitGroup
+	for i, a := range actions {
+		wg.Add(1)
+		go func(i, a int) {
+			defer wg.Done()
+			got[i], errs[i] = b.Evaluate(a)
+		}(i, a)
+	}
+	wg.Wait()
+	for i, a := range actions {
+		if errs[i] != nil {
+			t.Fatalf("action %d: %v", a, errs[i])
+		}
+		want, err := ev.Evaluate(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Fatalf("action %d: batch makespan %v, evaluator %v", a, got[i], want)
+		}
+	}
+	if _, err := b.Evaluate(0); err == nil {
+		t.Fatal("batch accepted action 0")
+	}
+}

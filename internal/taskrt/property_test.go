@@ -130,3 +130,31 @@ func TestNilProducerDependencyIgnored(t *testing.T) {
 		t.Fatalf("makespan = %v", mk)
 	}
 }
+
+// Deferred names are only rendered for observed runs.
+func TestLabelsDeferredWithoutObserver(t *testing.T) {
+	eng := des.NewEngine()
+	net := simnet.NewFast(eng, 1, simnet.Topology{NICBandwidth: 1e9})
+	g := NewGraph(1)
+	g.Add(NewName("gemm", 3, 2, 1), "gemm", 1, 0, false, 0)
+	g.Freeze()
+	rt := New(eng, []NodeSpec{{CPUSpeed: 1}}, net)
+	rt.Submit(g, []int{0})
+	rt.Run()
+	if l := rt.tasks[0].Label; l != "" {
+		t.Fatalf("unobserved run rendered label %q", l)
+	}
+	eng = des.NewEngine()
+	rt = New(eng, []NodeSpec{{CPUSpeed: 1}}, simnet.NewFast(eng, 1, simnet.Topology{NICBandwidth: 1e9}))
+	rt.Submit(g, []int{0})
+	rt.SetObserver(&countObserver{})
+	rt.Run()
+	if l := rt.tasks[0].Label; l != "gemm(3,2,1)" {
+		t.Fatalf("observed run labelled %q, want gemm(3,2,1)", l)
+	}
+	eng = des.NewEngine()
+	rt = New(eng, []NodeSpec{{CPUSpeed: 1}}, simnet.NewFast(eng, 1, simnet.Topology{NICBandwidth: 1e9}))
+	if b := rt.NewTask("eager", "w", 1, 0, false, 0); b.Label != "eager" {
+		t.Fatalf("NewTask label %q, want eager", b.Label)
+	}
+}
