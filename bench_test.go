@@ -307,6 +307,18 @@ func BenchmarkLPAllocation(b *testing.B) {
 	}
 }
 
+// BenchmarkLPBound is the lp.bound layer of a session create: LP(n) for
+// every action of scenario p (128 nodes), solved in closed form.
+func BenchmarkLPBound(b *testing.B) {
+	sc, _ := platform.ScenarioByKey("p")
+	opts := harness.SimOptions{Tiles: 24}
+	for i := 0; i < b.N; i++ {
+		if _, err := harness.LPBound(sc, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTiledCholesky(b *testing.B) {
 	rng := stats.NewRNG(1)
 	n, tile := 128, 32

@@ -63,6 +63,26 @@ func TestSimulationAllocBudget(t *testing.T) {
 	t.Logf("compile+run %.0f allocs/op, compile %.0f", full, compile)
 }
 
+// lpBoundAllocBudget bounds the heap allocations of one LPBound call on
+// scenario p (128 nodes): the rate and cache slices, the solver's
+// scratch and the returned closure, 7 on go1.24/amd64, independent of
+// the node count. One allocation per action fails it, as the per-n cost
+// vectors and simplex tableaux of the general LP formulation did.
+const lpBoundAllocBudget = 10
+
+func TestLPBoundAllocs(t *testing.T) {
+	sc, _ := platform.ScenarioByKey("p")
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := LPBound(sc, SimOptions{Tiles: 24}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > lpBoundAllocBudget {
+		t.Fatalf("LPBound on %d nodes: %.0f allocs/op, budget %d", sc.Platform.N(), allocs, lpBoundAllocBudget)
+	}
+	t.Logf("LPBound on %d nodes: %.0f allocs/op", sc.Platform.N(), allocs)
+}
+
 // retainedBytes reports how much live heap keep holds after calling
 // fill on it, measured across forced collections.
 func retainedBytes(t *testing.T, fill func() any) int64 {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"phasetune/internal/core"
+	"phasetune/internal/geostat"
+	"phasetune/internal/lp"
 	"phasetune/internal/platform"
 )
 
@@ -94,6 +96,63 @@ func TestLPBoundProperties(t *testing.T) {
 	// Clamping.
 	if lpf(0) != lpf(1) || lpf(999) != lpf(sc.Platform.N()) {
 		t.Fatal("LP bound should clamp out-of-range actions")
+	}
+}
+
+// simplexLPBound is LP(n) in the general ICPP'21 formulation: the
+// generation and factorization work as two lp.TaskClasses with per-node
+// costs, solved by the dense simplex.
+func simplexLPBound(t *testing.T, sc platform.Scenario, opts SimOptions, n int) float64 {
+	t.Helper()
+	p := sc.Platform
+	b := float64(sc.Workload.TileSize)
+	tl := float64(opts.tiles(sc))
+	genCosts := make([]float64, p.N())
+	for i, s := range p.GenSpeeds() {
+		genCosts[i] = 1 / s
+	}
+	factCosts := make([]float64, p.N())
+	for i, s := range p.FactSpeeds() {
+		factCosts[i] = math.Inf(1)
+		if i < n {
+			factCosts[i] = 1 / s
+		}
+	}
+	alloc, err := lp.SolveAllocation([]lp.TaskClass{
+		{Name: "gen", Count: tl * (tl + 1) / 2 * b * b * geostat.GenFlopsPerElement, Costs: genCosts},
+		{Name: "fact", Count: tl * tl * tl / 3 * b * b * b * 1e-9, Costs: factCosts},
+	}, p.N())
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", sc.Key, n, err)
+	}
+	return alloc.Makespan
+}
+
+// LPBound's closed form agrees with the simplex formulation to 1e-12
+// relative on every scenario, workload size and action.
+func TestLPBoundMatchesSimplex(t *testing.T) {
+	for _, sc := range platform.Scenarios() {
+		t.Run(sc.Key, func(t *testing.T) {
+			t.Parallel()
+			worst := 0.0
+			for _, tiles := range []int{12, 24, 48, 101} {
+				opts := SimOptions{Tiles: tiles}
+				lpf, err := LPBound(sc, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n := 1; n <= sc.Platform.N(); n++ {
+					got, want := lpf(n), simplexLPBound(t, sc, opts, n)
+					rel := math.Abs(got-want) / want
+					worst = math.Max(worst, rel)
+					if !(rel <= 1e-12) {
+						t.Errorf("tiles=%d n=%d: closed form %v, simplex %v (rel %.3g)",
+							tiles, n, got, want, rel)
+					}
+				}
+			}
+			t.Logf("worst relative difference %.3g", worst)
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -160,7 +159,8 @@ func (s *simShape) run(nFact int, obs taskrt.Observer, inject func(*taskrt.Runti
 // action: the task-allocation LP over the generation work (all nodes,
 // CPU-only) and the factorization work (the n fastest nodes), sharing
 // per-node capacity. Communications and the critical path are ignored —
-// exactly the optimism the bound mechanism relies on.
+// exactly the optimism the bound mechanism relies on. Each LP(n) is
+// solved exactly in closed form (lp.TwoClassMakespan).
 func LPBound(sc platform.Scenario, opts SimOptions) (func(n int) float64, error) {
 	p := sc.Platform
 	tiles := opts.tiles(sc)
@@ -169,30 +169,18 @@ func LPBound(sc platform.Scenario, opts SimOptions) (func(n int) float64, error)
 	genWork := t * (t + 1) / 2 * b * b * geostat.GenFlopsPerElement // Gflop
 	factWork := t * t * t / 3 * b * b * b * 1e-9                    // Gflop
 
-	genCosts := make([]float64, p.N())
-	for i, s := range p.GenSpeeds() {
-		genCosts[i] = 1 / s
-	}
+	genSpeeds := p.GenSpeeds()
 	factSpeeds := p.FactSpeeds()
-
+	factRates := make([]float64, p.N()) // the n fastest nodes' rates, 0 elsewhere
+	var solver lp.TwoClassSolver
 	cache := make([]float64, p.N()+1)
 	for n := 1; n <= p.N(); n++ {
-		factCosts := make([]float64, p.N())
-		for i := range factCosts {
-			if i < n {
-				factCosts[i] = 1 / factSpeeds[i]
-			} else {
-				factCosts[i] = math.Inf(1)
-			}
-		}
-		alloc, err := lp.SolveAllocation([]lp.TaskClass{
-			{Name: "gen", Count: genWork, Costs: genCosts},
-			{Name: "fact", Count: factWork, Costs: factCosts},
-		}, p.N())
+		factRates[n-1] = factSpeeds[n-1]
+		m, err := solver.Makespan(genWork, factWork, genSpeeds, factRates)
 		if err != nil {
 			return nil, fmt.Errorf("harness: LP bound at n=%d: %w", n, err)
 		}
-		cache[n] = alloc.Makespan
+		cache[n] = m
 	}
 	return func(n int) float64 {
 		if n < 1 {
