@@ -11,9 +11,9 @@
 //	     -d '{"scenario":"b","strategy":"GP-discontinuous","seed":42}'
 //	curl -s -X POST localhost:8080/v1/sessions/s1/step -d '{}'
 //
-//	# Prometheus text exposition (default); JSON view via Accept header
+//	# Prometheus text exposition; one session's summary and trajectory
 //	curl -s localhost:8080/metrics
-//	curl -s -H 'Accept: application/json' localhost:8080/metrics
+//	curl -s localhost:8080/v1/sessions/s1
 //
 //	# one session's Chrome trace-event JSON (Perfetto-loadable)
 //	curl -s localhost:8080/v1/sessions/s1/trace
@@ -59,6 +59,7 @@ import (
 	"phasetune/internal/engine"
 	"phasetune/internal/fsutil"
 	"phasetune/internal/obsv/events"
+	"phasetune/internal/obsv/obsvtest"
 	"phasetune/internal/obsv/wallclock"
 	"phasetune/internal/shard"
 )
@@ -526,28 +527,21 @@ func runSelfcheck(cfg config) error {
 		return fmt.Errorf("result: %w", err)
 	}
 
-	// Telemetry surfaces: Prometheus text is the /metrics default, the
-	// JSON view is preserved under Accept: application/json, the session
+	// Telemetry surfaces: /metrics serves Prometheus text, the session
 	// trace endpoint serves Chrome trace-event JSON, and pprof answers
 	// on its own listener.
-	status, text, err := fetch(base+"/metrics", "")
+	status, text, err := fetch(base + "/metrics")
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("metrics text: status %d, err %v", status, err)
 	}
-	if !strings.HasPrefix(string(text), "# HELP") || !strings.Contains(string(text), "phasetune_") {
-		return fmt.Errorf("metrics text does not look like Prometheus exposition: %.80s", text)
+	fams, err := obsvtest.ParsePrometheus(text)
+	if err != nil {
+		return fmt.Errorf("metrics text is not Prometheus exposition: %w", err)
 	}
-	var metricsJSON struct {
-		Workers int `json:"workers"`
+	if w := fams["phasetune_workers"]; w == nil || len(w.Samples) != 1 || w.Samples[0].Value != float64(eng.Workers()) {
+		return fmt.Errorf("metrics text: phasetune_workers %+v, want %d", w, eng.Workers())
 	}
-	status, jsonBody, err := fetch(base+"/metrics", "application/json")
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("metrics JSON view: status %d, err %v", status, err)
-	}
-	if err := json.Unmarshal(jsonBody, &metricsJSON); err != nil || metricsJSON.Workers != eng.Workers() {
-		return fmt.Errorf("metrics JSON view: workers %d, err %v", metricsJSON.Workers, err)
-	}
-	status, traceData, err := fetch(base+"/v1/sessions/"+created.ID+"/trace", "")
+	status, traceData, err := fetch(base + "/v1/sessions/" + created.ID + "/trace")
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("session trace: status %d, err %v", status, err)
 	}
@@ -572,7 +566,7 @@ func runSelfcheck(cfg config) error {
 		return fmt.Errorf("event log missing session.created for %s (%d events)", created.ID, len(evResp.Events))
 	}
 	fmt.Printf("event log ok: %d events, session.created recorded\n", len(evResp.Events))
-	status, _, err = fetch("http://"+pprofLn.Addr().String()+"/debug/pprof/cmdline", "")
+	status, _, err = fetch("http://" + pprofLn.Addr().String() + "/debug/pprof/cmdline")
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("pprof cmdline: status %d, err %v", status, err)
 	}
@@ -675,7 +669,7 @@ func runSelfcheck(cfg config) error {
 		after.BestAction != before.BestAction {
 		return fmt.Errorf("recovered session diverged: %+v vs %+v", after, before)
 	}
-	if _, err := eng2.Step(created.ID); err != nil {
+	if _, err := eng2.StepCtx(context.Background(), created.ID); err != nil {
 		return fmt.Errorf("step after recovery: %w", err)
 	}
 	if err := eng2.Close(); err != nil {
@@ -689,15 +683,8 @@ func runSelfcheck(cfg config) error {
 
 // fetch GETs url with an optional Accept header and returns the status
 // and full body.
-func fetch(url, accept string) (int, []byte, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := http.DefaultClient.Do(req)
+func fetch(url string) (int, []byte, error) {
+	resp, err := http.Get(url)
 	if err != nil {
 		return 0, nil, err
 	}

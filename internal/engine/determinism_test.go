@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"phasetune/internal/core"
@@ -84,7 +85,7 @@ func TestEngineSessionMatchesRunOnlineBitForBit(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < iters; i++ {
-			if _, err := e.Step(s.id); err != nil {
+			if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -127,11 +128,11 @@ func TestBatchStepWorkerCountIndependent(t *testing.T) {
 		}
 		// One sequential step to prime a real observation (the liar needs
 		// something credible), then speculative batches.
-		if _, err := e.Step(s.id); err != nil {
+		if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 			t.Fatal(err)
 		}
 		for b := 0; b < 3; b++ {
-			if _, err := e.BatchStep(s.id, 4); err != nil {
+			if _, _, err := e.BatchStepIdem(context.Background(), s.id, 4, ""); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -42,13 +42,6 @@ func (d *Driver) Name() string {
 	return d.s.Name()
 }
 
-// Next proposes one action.
-func (d *Driver) Next() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.s.Next()
-}
-
 // Observe feeds back a real measured duration.
 func (d *Driver) Observe(action int, duration float64) {
 	d.mu.Lock()

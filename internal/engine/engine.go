@@ -143,16 +143,8 @@ func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	e.mu.Lock()
-	sessions := make([]*Session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		sessions = append(sessions, s)
-	}
-	e.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-
 	var errs []error
-	for _, s := range sessions {
+	for _, s := range e.liveSessions() {
 		s.mu.Lock()
 		if s.jl != nil && !s.broken {
 			if err := s.jl.close(); err != nil {
@@ -352,7 +344,7 @@ func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
 		// supervisor would have nothing to promote and the id would be
 		// unservable until an operator intervened. A transport failure
 		// degrades (single-copy, lagging) exactly as op shipping does.
-		replErr := e.replicate(context.Background(), s) //lint:allow ctxflow pre-context API; the ship client carries its own timeout
+		replErr := e.replicate(context.Background(), s) //lint:allow ctxflow perfbench/ calls CreateSession(cfg), which takes no context; the ship client carries its own timeout
 		s.mu.Unlock()
 		if replErr != nil {
 			// A refusal on a brand-new id means the id is already live
@@ -389,12 +381,19 @@ func (e *Engine) Result(id string) (SessionResult, error) {
 	return s.result(), nil
 }
 
+// evalOut is one proposal's evaluation outcome.
+type evalOut struct {
+	v   float64
+	hit bool
+	err error
+}
+
 // eval fetches the deterministic makespan for (session scenario, epoch,
 // action) through the shared cache; a cold miss runs the DES simulation
 // under a pool slot, while waiters and hits pay nothing. ctx bounds the
 // wait for a pool slot or an in-flight computation, never a running
 // simulation.
-func (e *Engine) eval(ctx context.Context, s *Session, epoch, action int) (float64, bool, error) {
+func (e *Engine) eval(ctx context.Context, s *Session, epoch, action int) evalOut {
 	sc := obsv.FromContext(ctx)
 	endLookup := sc.Span("cache", "cache.lookup")
 	key := CacheKey{Fingerprint: s.ev.Fingerprint(), Epoch: epoch, Action: action}
@@ -445,10 +444,10 @@ func (e *Engine) eval(ctx context.Context, s *Session, epoch, action int) (float
 		if derr := e.pool.DoCtx(ctx, func() {
 			time.Sleep(d) //lint:allow determinism emulated application run time is wall-clock only and never reaches observed values
 		}); derr != nil {
-			return 0, hit, derr
+			return evalOut{hit: hit, err: derr}
 		}
 	}
-	return v, hit, err
+	return evalOut{v: v, hit: hit, err: err}
 }
 
 // checkout fetches an operable session: it must exist, the engine must
@@ -483,206 +482,252 @@ func (e *Engine) commitOp(ctx context.Context, s *Session, rec journalRecord) er
 	return e.replicate(ctx, s)
 }
 
-// Step advances a session by one sequential tuning iteration. See
-// StepCtx.
-func (e *Engine) Step(id string) (StepResult, error) {
-	//lint:allow ctxflow compat wrapper for pre-context callers; handlers go through StepCtx/StepIdem
-	return e.StepCtx(context.Background(), id)
-}
-
 // StepCtx advances a session by one sequential tuning iteration:
-// Next -> evaluate (cache/pool) -> noisy observation -> Observe. With
+// propose -> evaluate (cache/pool) -> noisy observation -> Observe. With
 // the same seed and strategy, a stepped session reproduces
 // harness.RunOnline bit-for-bit regardless of the engine's worker count
 // or what other sessions are doing. The committed step is journaled
 // (fsync'd) before StepCtx returns.
 func (e *Engine) StepCtx(ctx context.Context, id string) (StepResult, error) {
-	res, _, err := e.StepIdem(ctx, id, "")
+	res, _, err := e.step(ctx, id, "")
 	return res, err
 }
 
-// StepIdem is StepCtx under an idempotency key: a key that already
+// step is StepCtx under an idempotency key: a key that already
 // committed a step replays the journaled result (byte-identical fields,
 // no second application) and reports replayed=true. An empty key
 // disables idempotency.
-func (e *Engine) StepIdem(ctx context.Context, id, key string) (StepResult, bool, error) {
-	s, err := e.checkout(id)
-	if err != nil {
-		return StepResult{}, false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ent, found, err := s.lookupIdem(key, "step", 0); err != nil {
-		return StepResult{}, false, err
-	} else if found {
-		return s.replaySteps(ent)[0], true, nil
-	}
-	if s.broken {
-		return StepResult{}, false, fmt.Errorf("engine: session %q failed closed on a journal error", id)
-	}
-	sc := obsv.FromContext(ctx)
-	var stepArgs map[string]any
-	endStep := sc.Span("session", "session.step")
-	defer func() { endStep(stepArgs) }()
-	endPropose := sc.Span("strategy", "strategy.propose")
-	action := s.driver.Next()
-	s.props.Inc()
-	if sc != nil {
-		endPropose(map[string]any{"action": action})
-	} else {
-		endPropose(nil)
-	}
-	sim, hit, err := e.eval(ctx, s, s.epoch, action)
-	if err != nil {
-		// The strategy consumed a proposal that produced no observation;
-		// journal the abort so recovery replays the same Next call. The
-		// abort carries no key: a retry must re-attempt, not replay.
-		if jerr := e.commitOp(ctx, s, journalRecord{T: "abort", Epoch: s.epoch, Actions: []int{action}}); jerr != nil {
-			return StepResult{}, false, errors.Join(err, jerr)
-		}
-		return StepResult{}, false, err
-	}
-	d := s.observe(sim)
-	s.driver.Observe(action, d)
-	res := s.record(action, d, sim)
-	res.CacheHit = hit
-	if err := e.commitOp(ctx, s, journalRecord{
-		T: "step", Epoch: s.epoch, Iter: res.Iter, Key: key,
-		Actions: []int{action}, Sims: []float64{sim}, Obs: []float64{d}, Hits: []bool{hit},
-	}); err != nil {
-		return StepResult{}, false, err
-	}
-	s.registerIdem(key, idemEntry{op: "step", first: res.Iter, n: 1, hits: []bool{hit}})
-	if sc != nil {
-		stepArgs = map[string]any{"iter": res.Iter, "action": action, "sim": sim, "cache_hit": hit}
-	}
-	return res, false, nil
+func (e *Engine) step(ctx context.Context, id, key string) (StepResult, bool, error) {
+	var res StepResult
+	_, replayed, err := e.round(ctx, id, "step", 1, key, nil, func(r StepResult) { res = r })
+	return res, replayed, err
 }
 
-// BatchStep advances a session by up to k speculative iterations. See
-// BatchStepCtx.
-func (e *Engine) BatchStep(id string, k int) ([]StepResult, error) {
-	//lint:allow ctxflow compat wrapper for pre-context callers; handlers go through BatchStepCtx/BatchStepIdem
-	return e.BatchStepCtx(context.Background(), id, k)
-}
-
-// BatchStepCtx advances a session by up to k speculative iterations:
+// BatchStepIdem advances a session by up to k speculative iterations:
 // the driver proposes a constant-liar batch, all proposals are
-// evaluated in parallel, and the results are committed — noise drawn,
-// strategy informed, history appended — in batch order. Committing in
-// proposal order (not completion order) is what keeps batch results a
-// pure function of (seed, strategy, k): identical at 1 worker and at 8.
-// The whole batch is journaled as one record, so a crash either keeps
-// the complete batch or none of it.
-func (e *Engine) BatchStepCtx(ctx context.Context, id string, k int) ([]StepResult, error) {
-	res, _, err := e.BatchStepIdem(ctx, id, k, "")
-	return res, err
+// evaluated in parallel, and the results are committed in proposal
+// order. The whole batch is journaled as one record, so a crash either
+// keeps the complete batch or none of it. A key that already committed
+// a batch replays the journaled steps instead of proposing and
+// evaluating again, and reports replayed=true; the batch width k is
+// part of the request shape, so reusing a key with a different k is an
+// ErrIdemConflict. An empty key disables idempotency.
+func (e *Engine) BatchStepIdem(ctx context.Context, id string, k int, key string) ([]StepResult, bool, error) {
+	var out []StepResult
+	_, replayed, err := e.round(ctx, id, "batch", k, key, nil, func(r StepResult) { out = append(out, r) })
+	return out, replayed, err
 }
 
-// BatchStepIdem is BatchStepCtx under an idempotency key: a key that
-// already committed a batch replays the journaled steps instead of
-// proposing and evaluating again, and reports replayed=true. The batch
-// width k is part of the request shape — reusing a key with a
-// different k is an ErrIdemConflict.
-func (e *Engine) BatchStepIdem(ctx context.Context, id string, k int, key string) ([]StepResult, bool, error) {
-	s, err := e.checkout(id)
-	if err != nil {
-		return nil, false, err
-	}
+// StreamBatchStepIdem advances a session by up to k speculative
+// iterations, delivering each step through onStep as it commits instead
+// of waiting for the whole batch: the slowest evaluation no longer
+// gates every result. onStart (optional) fires once after the operation
+// is admitted, before the first onStep, with replayed=true when an
+// idempotency key replays previously committed steps. The returned
+// count is the number of steps delivered.
+//
+// On a mid-stream evaluation failure the committed prefix stays
+// committed (each step was already durable and delivered) and the
+// error is returned after the last good step; the journaled "spropose"
+// record makes recovery replay the consumed proposals exactly, like a
+// batch abort. An idempotency key registers progressively: a retried
+// key replays exactly the prefix that durably committed, while a stream
+// that failed before its first commit re-attempts from scratch.
+func (e *Engine) StreamBatchStepIdem(ctx context.Context, id string, k int, key string, onStart func(replayed bool), onStep func(StepResult)) (int, bool, error) {
+	return e.round(ctx, id, "stream", k, key, onStart, onStep)
+}
+
+// round is the one propose -> evaluate -> commit pipeline behind step,
+// batch and stream: checkout, session lock, idempotency lookup, one
+// constant-liar proposal of up to k actions, evaluation through the
+// shared cache, then observe-and-record in proposal order. Committing
+// in proposal order (not completion order) consumes the noise stream
+// exactly as a sequential run does, which is what keeps every
+// observation log a pure function of (seed, strategy, op sequence) at
+// any worker count, streamed or not.
+//
+// The ops differ only in when they journal. step (k=1) and batch write
+// one record once every evaluation succeeded, or an abort record when
+// any failed, so recovery lands on op boundaries. stream journals its
+// proposals and lies first ("spropose"; whatever happens next, recovery
+// replays this exact proposal sequence) and then one "scommit" per
+// step, the moment it is the oldest uncommitted proposal. Steps reach
+// onStep in commit order; onStart (optional) fires once the op is
+// admitted, with replayed=true when key replays a committed op.
+func (e *Engine) round(ctx context.Context, id, op string, k int, key string, onStart func(replayed bool), onStep func(StepResult)) (int, bool, error) {
 	if k < 1 {
 		k = 1
 	}
+	s, err := e.checkout(id)
+	if err != nil {
+		return 0, false, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ent, found, err := s.lookupIdem(key, "batch", k); err != nil {
-		return nil, false, err
+	if ent, found, err := s.begin(op, k, key); err != nil {
+		return 0, false, err
 	} else if found {
-		return s.replaySteps(ent), true, nil
+		if onStart != nil {
+			onStart(true)
+		}
+		steps := s.replaySteps(ent)
+		for _, r := range steps {
+			onStep(r)
+		}
+		return len(steps), true, nil
 	}
-	if s.broken {
-		return nil, false, fmt.Errorf("engine: session %q failed closed on a journal error", id)
+	stream := op == "stream"
+	opSpan, proposeSpan := "session.batch-step", "strategy.propose-batch"
+	switch op {
+	case "step":
+		opSpan, proposeSpan = "session.step", "strategy.propose"
+	case "stream":
+		opSpan = "session.stream-step"
 	}
 	sc := obsv.FromContext(ctx)
-	var batchArgs map[string]any
-	endBatch := sc.Span("session", "session.batch-step")
-	defer func() { endBatch(batchArgs) }()
-	epoch := s.epoch
-	fp := s.ev.Fingerprint()
-	endPropose := sc.Span("strategy", "strategy.propose-batch")
+	var opArgs map[string]any
+	endOp := sc.Span("session", opSpan)
+	defer func() { endOp(opArgs) }()
+	epoch, fp := s.epoch, s.ev.Fingerprint()
+	endPropose := sc.Span("strategy", proposeSpan)
 	actions, lies := s.driver.NextBatch(k, func(a int) (float64, bool) {
 		return e.cache.Peek(CacheKey{Fingerprint: fp, Epoch: epoch, Action: a})
 	})
 	s.props.Add(float64(len(actions)))
-	if sc != nil {
-		endPropose(map[string]any{"k": k, "proposed": len(actions)})
-	} else {
+	switch {
+	case sc == nil:
 		endPropose(nil)
+	case op == "step":
+		endPropose(map[string]any{"action": actions[0]})
+	default:
+		endPropose(map[string]any{"k": k, "proposed": len(actions)})
+	}
+	if stream {
+		if err := e.commitOp(ctx, s, journalRecord{
+			T: "spropose", Epoch: epoch, K: k, Actions: actions, Lies: lies, Key: key,
+		}); err != nil {
+			return 0, false, err
+		}
+		if onStart != nil {
+			onStart(false)
+		}
 	}
 
-	sims := make([]float64, len(actions))
-	hits := make([]bool, len(actions))
-	var errs errCollector
-	e.pool.ForEach(len(actions), func(i int) {
-		v, hit, err := e.eval(ctx, s, epoch, actions[i])
-		if err != nil {
-			errs.record(err)
-			return
+	outs, ready := e.evaluate(ctx, s, epoch, actions)
+	if !stream {
+		// All or nothing: wait for every evaluation. The strategy already
+		// consumed the proposals and lies, so a failure journals an abort
+		// and recovery reconstructs the identical strategy state. The
+		// abort carries no key: a retry must re-attempt, not replay.
+		var failed error
+		for i := range outs {
+			if ready != nil {
+				<-ready[i]
+			}
+			if failed == nil {
+				failed = outs[i].err
+			}
 		}
-		sims[i], hits[i] = v, hit
-	})
-	if err := errs.first(); err != nil {
-		// Proposals and lies already reached the strategy; journal the
-		// abort so recovery reconstructs the identical strategy state.
-		if jerr := e.commitOp(ctx, s, journalRecord{T: "abort", Epoch: epoch, Actions: actions, Lies: lies}); jerr != nil {
-			return nil, false, errors.Join(err, jerr)
+		if failed != nil {
+			if jerr := e.commitOp(ctx, s, journalRecord{T: "abort", Epoch: epoch, Actions: actions, Lies: lies}); jerr != nil {
+				return 0, false, errors.Join(failed, jerr)
+			}
+			return 0, false, failed
 		}
-		return nil, false, err
 	}
-
-	firstIter := len(s.actions)
-	out := make([]StepResult, 0, len(actions))
+	first := len(s.actions)
+	hits := make([]bool, 0, len(actions))
 	for i, a := range actions {
-		d := s.observe(sims[i])
+		if ready != nil {
+			<-ready[i]
+		}
+		out := outs[i]
+		if out.err != nil {
+			// Stream only: the committed prefix is durable and delivered,
+			// and spropose already captured the consumed proposals, so no
+			// abort record. Later evaluations only warm the cache.
+			return i, false, out.err
+		}
+		d := s.observe(out.v)
 		s.driver.Observe(a, d)
-		res := s.record(a, d, sims[i])
-		res.CacheHit = hits[i]
-		out = append(out, res)
+		s.record(a, d, out.v)
+		hits = append(hits, out.hit)
+		if stream {
+			if err := e.commitOp(ctx, s, journalRecord{
+				T: "scommit", Epoch: epoch, Iter: first + i,
+				Actions: []int{a}, Sims: []float64{out.v}, Obs: []float64{d}, Hits: []bool{out.hit},
+			}); err != nil {
+				return i, false, err
+			}
+			// Progressive registration: after each durable step the key
+			// replays exactly this prefix.
+			s.registerIdem(key, idemEntry{op: op, first: first, n: i + 1, k: k, hits: append([]bool(nil), hits...)})
+			onStep(s.stepResultAt(first+i, out.hit))
+		}
 	}
-	obs := make([]float64, len(out))
-	allSims := make([]float64, len(out))
-	for i, r := range out {
-		obs[i], allSims[i] = r.Duration, r.Sim
+	if !stream {
+		// The record shares the just-recorded history: the session only
+		// ever appends to it, so these elements never change again.
+		end := len(s.sims)
+		rec := journalRecord{
+			T: op, Epoch: epoch, Iter: first, Key: key, Actions: actions, Lies: lies,
+			Sims: s.sims[first:end:end], Obs: s.durations[first:end:end], Hits: hits,
+		}
+		if op == "batch" {
+			rec.K = k
+		}
+		if err := e.commitOp(ctx, s, rec); err != nil {
+			return 0, false, err
+		}
+		s.registerIdem(key, idemEntry{op: op, first: first, n: len(actions), k: k, hits: hits})
+		for i, hit := range hits {
+			onStep(s.stepResultAt(first+i, hit))
+		}
 	}
-	if err := e.commitOp(ctx, s, journalRecord{
-		T: "batch", Epoch: epoch, Iter: firstIter, K: k, Key: key,
-		Actions: actions, Lies: lies, Sims: allSims, Obs: obs, Hits: hits,
-	}); err != nil {
-		return nil, false, err
-	}
-	s.registerIdem(key, idemEntry{op: "batch", first: firstIter, n: len(out), k: k, hits: hits})
 	if sc != nil {
-		batchArgs = map[string]any{"k": k, "steps": len(out), "first_iter": firstIter}
+		if op == "step" {
+			opArgs = map[string]any{"iter": first, "action": actions[0], "sim": outs[0].v, "cache_hit": outs[0].hit}
+		} else {
+			opArgs = map[string]any{"k": k, "steps": len(actions), "first_iter": first}
+		}
 	}
-	return out, false, nil
+	return len(actions), false, nil
 }
 
-// AdvanceEpoch bumps the session's platform epoch and evicts the
+// evaluate starts the evaluation of every proposal. A single proposal
+// is evaluated inline on the caller's goroutine and ready is nil;
+// otherwise each proposal gets its own goroutine (so the cache
+// singleflight can collapse duplicates without idling a pool slot) and
+// ready[i] closes once outs[i] is final.
+func (e *Engine) evaluate(ctx context.Context, s *Session, epoch int, actions []int) (outs []evalOut, ready []chan struct{}) {
+	outs = make([]evalOut, len(actions))
+	if len(actions) == 1 {
+		outs[0] = e.eval(ctx, s, epoch, actions[0])
+		return outs, nil
+	}
+	ready = make([]chan struct{}, len(actions))
+	for i, a := range actions {
+		done := make(chan struct{})
+		ready[i] = done
+		go func(out *evalOut) {
+			defer close(done)
+			*out = e.eval(ctx, s, epoch, a)
+		}(&outs[i])
+	}
+	return outs, ready
+}
+
+// AdvanceEpochIdem bumps the session's platform epoch and evicts the
 // fingerprint's now-stale cache entries. This is the hook the fault
 // layer drives when the platform underneath a served session changes:
 // values from different epochs never mix (the key separates them) and
 // the old epoch's memory is reclaimed. The transition is journaled so a
-// recovered session resumes in the correct epoch.
-func (e *Engine) AdvanceEpoch(id string) (int, error) {
-	//lint:allow ctxflow compat wrapper for pre-context callers; handlers go through AdvanceEpochIdem
-	epoch, _, err := e.AdvanceEpochIdem(context.Background(), id, "")
-	return epoch, err
-}
-
-// AdvanceEpochIdem is AdvanceEpoch under an idempotency key: a key
-// that already committed an epoch advance replays the resulting epoch
-// instead of advancing again — the difference between a retried
-// request costing nothing and a platform silently skipping an epoch.
-// ctx bounds the replication ship of the journaled transition.
+// recovered session resumes in the correct epoch. A key that already
+// committed an epoch advance replays the resulting epoch instead of
+// advancing again — the difference between a retried request costing
+// nothing and a platform silently skipping an epoch. An empty key
+// disables idempotency. ctx bounds the replication ship of the
+// journaled transition.
 func (e *Engine) AdvanceEpochIdem(ctx context.Context, id, key string) (int, bool, error) {
 	s, err := e.checkout(id)
 	if err != nil {
@@ -690,13 +735,10 @@ func (e *Engine) AdvanceEpochIdem(ctx context.Context, id, key string) (int, boo
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ent, found, err := s.lookupIdem(key, "epoch", 0); err != nil {
+	if ent, found, err := s.begin("epoch", 0, key); err != nil {
 		return 0, false, err
 	} else if found {
 		return ent.epoch, true, nil
-	}
-	if s.broken {
-		return 0, false, fmt.Errorf("engine: session %q failed closed on a journal error", id)
 	}
 	s.epoch++
 	e.cache.DropEpochsBelow(s.ev.Fingerprint(), s.epoch)
@@ -760,20 +802,19 @@ type SweepResult struct {
 	BestMakespan float64      `json:"best_makespan"`
 }
 
-// Sweep evaluates every feasible action of the scenario in parallel.
-// See SweepCtx.
-func (e *Engine) Sweep(sc platform.Scenario, opts harness.SimOptions, so SweepOptions) (*SweepResult, error) {
-	//lint:allow ctxflow compat wrapper for pre-context callers; handlers go through SweepCtx/SweepKeyed
-	return e.SweepCtx(context.Background(), sc, opts, so)
-}
-
-// SweepCtx evaluates every feasible action of the scenario in parallel
+// Sweep evaluates every feasible action of the scenario in parallel
 // through the shared cache and returns the per-action makespans and the
 // argmin. Deterministic: the same inputs give the same result at any
 // worker count, and the best action matches a sequential
-// SimulateIteration loop exactly. ctx bounds slot and singleflight
+// SimulateIteration loop exactly.
+func (e *Engine) Sweep(sc platform.Scenario, opts harness.SimOptions, so SweepOptions) (*SweepResult, error) {
+	//lint:allow ctxflow perfbench/ calls Sweep(sc, opts, so), which takes no context; HTTP sweeps go through sweepKeyed
+	return e.sweep(context.Background(), sc, opts, so)
+}
+
+// sweep is Sweep bounded by ctx: it bounds slot and singleflight
 // waits, not running simulations.
-func (e *Engine) SweepCtx(ctx context.Context, sc platform.Scenario, opts harness.SimOptions, so SweepOptions) (*SweepResult, error) {
+func (e *Engine) sweep(ctx context.Context, sc platform.Scenario, opts harness.SimOptions, so SweepOptions) (*SweepResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -831,21 +872,46 @@ func (e *Engine) SweepCtx(ctx context.Context, sc platform.Scenario, opts harnes
 	return res, nil
 }
 
-// Metrics is the engine-wide observability snapshot served at /metrics.
+// Metrics is the engine-wide observability snapshot rendered as
+// Prometheus text at /metrics.
 type Metrics struct {
-	Workers         int             `json:"workers"`
-	InFlightEvals   int64           `json:"in_flight_evals"`
-	WaitingEvals    int64           `json:"waiting_evals"`
-	JournalDir      string          `json:"journal_dir,omitempty"`
-	Cache           CacheStats      `json:"cache"`
-	Sessions        []SessionResult `json:"sessions"`
-	SessionsTotal   int             `json:"sessions_total"`
-	IterationsTotal int             `json:"iterations_total"`
+	Workers         int
+	InFlightEvals   int64
+	WaitingEvals    int64
+	JournalDir      string
+	Cache           CacheStats
+	Sessions        []SessionResult // summaries without trajectories
+	SessionsTotal   int
+	IterationsTotal int
 }
 
 // Metrics snapshots the engine: pool occupancy, cache accounting and
-// every session's summary (including its exact cumulative regret).
+// every session's summary (including its exact cumulative regret). It
+// copies no trajectory, so a scrape costs the same however long the
+// sessions have run; GET /v1/sessions/{id} serves the trajectories.
 func (e *Engine) Metrics() Metrics {
+	sessions := e.liveSessions()
+	m := Metrics{
+		Workers:       e.pool.Workers(),
+		InFlightEvals: e.pool.InFlight(),
+		WaitingEvals:  e.pool.Waiting(),
+		JournalDir:    e.journalDir,
+		Cache:         e.cache.Stats(),
+		Sessions:      make([]SessionResult, 0, len(sessions)),
+		SessionsTotal: len(sessions),
+	}
+	for _, s := range sessions {
+		s.mu.Lock()
+		r := s.summary()
+		s.mu.Unlock()
+		m.Sessions = append(m.Sessions, r)
+		m.IterationsTotal += r.Iterations
+	}
+	return m
+}
+
+// liveSessions lists the registered sessions in stable id order.
+func (e *Engine) liveSessions() []*Session {
 	e.mu.Lock()
 	sessions := make([]*Session, 0, len(e.sessions))
 	for _, s := range e.sessions {
@@ -853,22 +919,5 @@ func (e *Engine) Metrics() Metrics {
 	}
 	e.mu.Unlock()
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-
-	m := Metrics{
-		Workers:       e.pool.Workers(),
-		InFlightEvals: e.pool.InFlight(),
-		WaitingEvals:  e.pool.Waiting(),
-		JournalDir:    e.journalDir,
-		Cache:         e.cache.Stats(),
-		SessionsTotal: len(sessions),
-	}
-	for _, s := range sessions {
-		r := s.result()
-		// Trim the bulky trajectories out of the metrics view; the
-		// per-session result endpoint serves them.
-		r.Actions, r.Durations = nil, nil
-		m.Sessions = append(m.Sessions, r)
-		m.IterationsTotal += r.Iterations
-	}
-	return m
+	return sessions
 }

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"context"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -34,7 +37,7 @@ func TestConcurrentSessionsShareCache(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			for i := 0; i < steps; i++ {
-				if _, err := e.Step(id); err != nil {
+				if _, err := e.StepCtx(context.Background(), id); err != nil {
 					t.Errorf("session %s: %v", id, err)
 					return
 				}
@@ -88,13 +91,13 @@ func TestAdvanceEpochInvalidates(t *testing.T) {
 	}
 	// Right-Left starts at N and walks left: first two steps hit N, N-1.
 	for i := 0; i < 2; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st0 := e.Cache().Stats()
 
-	epoch, err := e.AdvanceEpoch(s.id)
+	epoch, _, err := e.AdvanceEpochIdem(context.Background(), s.id, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestAdvanceEpochInvalidates(t *testing.T) {
 	}
 
 	// The next step re-simulates even if the strategy repeats an action.
-	if _, err := e.Step(s.id); err != nil {
+	if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Cache().Stats(); st.Misses != st0.Misses+1 {
@@ -124,7 +127,7 @@ func TestMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,6 +156,46 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// TestScrapeCostIndependentOfHistory: /metrics reads every session's
+// summary without copying its trajectory, so the bytes one scrape
+// allocates do not grow with a session's committed iterations.
+func TestScrapeCostIndependentOfHistory(t *testing.T) {
+	scrapeBytes := func(steps int) uint64 {
+		e := New(1)
+		s, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "UCB", Seed: 3, Tiles: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < steps; i++ {
+			if _, err := e.StepCtx(context.Background(), s.id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv := NewServerWithOptions(e, ServerOptions{})
+		var buf bytes.Buffer
+		const scrapes = 10
+		best := ^uint64(0)
+		for trial := 0; trial < 5; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < scrapes; i++ {
+				buf.Reset()
+				if err := srv.writePrometheus(&buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/scrapes)
+		}
+		return best
+	}
+	short, long := scrapeBytes(10), scrapeBytes(1000)
+	// Copying the two trajectories of 1000 steps alone would cost 16 KB.
+	if long > short+512 {
+		t.Fatalf("a scrape allocates %d B after 1000 steps vs %d B after 10: it copies session history", long, short)
+	}
+}
+
 func TestCreateSessionErrors(t *testing.T) {
 	e := New(1)
 	if _, err := e.CreateSession(SessionConfig{ScenarioKey: "zz"}); err == nil {
@@ -161,7 +204,7 @@ func TestCreateSessionErrors(t *testing.T) {
 	if _, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "nope"}); err == nil {
 		t.Fatal("unknown strategy must fail")
 	}
-	if _, err := e.Step("missing"); err == nil {
+	if _, err := e.StepCtx(context.Background(), "missing"); err == nil {
 		t.Fatal("step on missing session must fail")
 	}
 }
@@ -177,7 +220,7 @@ func TestDriverBatchLiar(t *testing.T) {
 	}
 	// Before any observation and with a cold cache there is nothing
 	// credible to lie with: the batch degrades to a single proposal.
-	first, err := e.BatchStep(s.id, 4)
+	first, _, err := e.BatchStepIdem(context.Background(), s.id, 4, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +228,7 @@ func TestDriverBatchLiar(t *testing.T) {
 		t.Fatalf("cold batch returned %d steps, want 1 (no credible lie yet)", len(first))
 	}
 	// With history, batches fill to k.
-	batch, err := e.BatchStep(s.id, 4)
+	batch, _, err := e.BatchStepIdem(context.Background(), s.id, 4, "")
 	if err != nil {
 		t.Fatal(err)
 	}

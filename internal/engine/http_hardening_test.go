@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -155,7 +156,7 @@ func TestHTTPEvalTimeout(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	go e.pool.Do(func() { close(started); <-block })
+	go e.pool.DoCtx(context.Background(), func() { close(started); <-block })
 	<-started
 	defer close(block)
 

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"phasetune/internal/obsv/obsvtest"
 )
 
 func postJSON(t *testing.T, url string, body any, out any) *http.Response {
@@ -31,13 +34,7 @@ func postJSON(t *testing.T, url string, body any, out any) *http.Response {
 
 func getJSON(t *testing.T, url string, out any) *http.Response {
 	t.Helper()
-	// /metrics content-negotiates: ask for the JSON view explicitly.
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "application/json")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,20 +98,49 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		t.Fatalf("advance-epoch status %d, body %v", resp.StatusCode, ep)
 	}
 
-	var m Metrics
-	resp = getJSON(t, srv.URL+"/metrics", &m)
+	m := scrape(t, srv.URL)
+	if sessions, iters := sample(t, m, "phasetune_sessions"), sample(t, m, "phasetune_iterations_total"); sessions != 1 || iters != 6 {
+		t.Fatalf("metrics: %v sessions, %v iterations", sessions, iters)
+	}
+	if sample(t, m, "phasetune_cache_hits_total")+sample(t, m, "phasetune_cache_misses_total") == 0 {
+		t.Fatal("metrics carry no cache accounting")
+	}
+	if epoch := sample(t, m, "phasetune_session_epoch"); epoch != 1 {
+		t.Fatalf("session epoch in metrics = %v, want 1", epoch)
+	}
+}
+
+// scrape reads GET /metrics as parsed Prometheus families.
+func scrape(t *testing.T, base string) map[string]*obsvtest.Family {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
-	if m.SessionsTotal != 1 || m.IterationsTotal != 6 {
-		t.Fatalf("metrics %+v", m)
+	fams, err := obsvtest.ParsePrometheus(body)
+	if err != nil {
+		t.Fatalf("metrics exposition: %v", err)
 	}
-	if m.Cache.Hits+m.Cache.Misses == 0 {
-		t.Fatal("metrics carry no cache accounting")
+	return fams
+}
+
+// sample returns the value of a family's first sample: an unlabelled
+// gauge or counter, or the one session's series.
+func sample(t *testing.T, fams map[string]*obsvtest.Family, name string) float64 {
+	t.Helper()
+	f := fams[name]
+	if f == nil || len(f.Samples) == 0 {
+		t.Fatalf("metrics lack %s", name)
 	}
-	if m.Sessions[0].Epoch != 1 {
-		t.Fatalf("session epoch in metrics = %d, want 1", m.Sessions[0].Epoch)
-	}
+	return f.Samples[0].Value
 }
 
 func TestHTTPSweep(t *testing.T) {
@@ -187,9 +213,8 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 
-	var m Metrics
-	getJSON(t, srv.URL+"/metrics", &m)
-	if m.SessionsTotal != clients || m.IterationsTotal != clients*6 {
-		t.Fatalf("metrics after concurrent clients: %+v", m)
+	m := scrape(t, srv.URL)
+	if sessions, iters := sample(t, m, "phasetune_sessions"), sample(t, m, "phasetune_iterations_total"); sessions != clients || iters != clients*6 {
+		t.Fatalf("metrics after concurrent clients: %v sessions, %v iterations", sessions, iters)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"phasetune/internal/platform"
 )
 
-// SweepArgs bundles one sweep request for the keyed entrypoint.
-type SweepArgs struct {
+// sweepArgs bundles one sweep request for sweepKeyed.
+type sweepArgs struct {
 	Scenario  platform.Scenario
 	Opts      harness.SimOptions
 	SweepOpts SweepOptions
@@ -74,21 +74,22 @@ type idemEntry struct {
 	hits  []bool // journaled per-step cache-hit flags
 }
 
-// lookupIdem resolves a key against the session's registry under the
-// session lock. Returns (entry, found) or ErrIdemConflict when the key
-// exists but was committed by a different request shape.
-func (s *Session) lookupIdem(key, op string, k int) (idemEntry, bool, error) {
-	if key == "" {
-		return idemEntry{}, false, nil
+// begin is the prologue every session mutation runs under the session
+// lock: it resolves key against the idempotency registry and, when
+// nothing replays, refuses a session that failed closed. Returns
+// (entry, found) for a key that already committed this request shape,
+// or ErrIdemConflict when the key committed a different one.
+func (s *Session) begin(op string, k int, key string) (idemEntry, bool, error) {
+	if ent, ok := s.idem[key]; ok { // registerIdem never stores the empty key
+		if ent.op != op || ((op == "batch" || op == "stream") && ent.k != k) {
+			return idemEntry{}, false, fmt.Errorf("%w: key %q committed a %q operation", ErrIdemConflict, key, ent.op)
+		}
+		return ent, true, nil
 	}
-	ent, ok := s.idem[key]
-	if !ok {
-		return idemEntry{}, false, nil
+	if s.broken {
+		return idemEntry{}, false, fmt.Errorf("engine: session %q failed closed on a journal error", s.id)
 	}
-	if ent.op != op || ((op == "batch" || op == "stream") && ent.k != k) {
-		return idemEntry{}, false, fmt.Errorf("%w: key %q committed a %q operation", ErrIdemConflict, key, ent.op)
-	}
-	return ent, true, nil
+	return idemEntry{}, false, nil
 }
 
 // registerIdem records a committed operation under its key. Must be
@@ -200,15 +201,15 @@ func (st *sweepIdemStore) fail(key string, ent *sweepIdemEntry, err error) {
 	close(ent.done)
 }
 
-// SweepKeyed runs SweepCtx under an idempotency key: the first request
+// sweepKeyed runs a sweep under an idempotency key: the first request
 // with the key computes, concurrent retries wait for that computation,
 // and later retries replay the stored result. fp fingerprints the full
 // request; reusing a key with a different fingerprint returns
 // ErrIdemConflict. The second return reports whether the response was
 // replayed rather than computed by this call.
-func (e *Engine) SweepKeyed(ctx context.Context, key, fp string, args SweepArgs) (*SweepResult, bool, error) {
+func (e *Engine) sweepKeyed(ctx context.Context, key, fp string, args sweepArgs) (*SweepResult, bool, error) {
 	if key == "" {
-		res, err := e.SweepCtx(ctx, args.Scenario, args.Opts, args.SweepOpts)
+		res, err := e.sweep(ctx, args.Scenario, args.Opts, args.SweepOpts)
 		return res, false, err
 	}
 	ent, leader, err := e.sweepIdem.begin(key, fp)
@@ -226,7 +227,7 @@ func (e *Engine) SweepKeyed(ctx context.Context, key, fp string, args SweepArgs)
 		}
 		return ent.res, true, nil
 	}
-	res, err := e.SweepCtx(ctx, args.Scenario, args.Opts, args.SweepOpts)
+	res, err := e.sweep(ctx, args.Scenario, args.Opts, args.SweepOpts)
 	if err != nil {
 		e.sweepIdem.fail(key, ent, err)
 		return nil, false, err

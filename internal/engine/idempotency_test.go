@@ -33,7 +33,7 @@ func TestStepIdempotentReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, replayed, err := e.StepIdem(context.Background(), s.id, "op-1")
+	first, replayed, err := e.step(context.Background(), s.id, "op-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestStepIdempotentReplay(t *testing.T) {
 	// A retry must return the original result without a second
 	// application, no matter how often it is retried.
 	for i := 0; i < 3; i++ {
-		again, replayed, err := e.StepIdem(context.Background(), s.id, "op-1")
+		again, replayed, err := e.step(context.Background(), s.id, "op-1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestAdvanceEpochIdempotent(t *testing.T) {
 	if err != nil || !replayed || ep2 != ep1 {
 		t.Fatalf("retried advance: epoch %d (want %d), replayed %t, err %v", ep2, ep1, replayed, err)
 	}
-	if got, err := e.AdvanceEpoch(s.id); err != nil || got != ep1+1 {
+	if got, _, err := e.AdvanceEpochIdem(context.Background(), s.id, ""); err != nil || got != ep1+1 {
 		t.Fatalf("keyless advance after replay: epoch %d, want %d (err %v)", got, ep1+1, err)
 	}
 }
@@ -136,7 +136,7 @@ func TestIdempotencySurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step1, _, err := e.StepIdem(context.Background(), s.id, "k-step")
+	step1, _, err := e.step(context.Background(), s.id, "k-step")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestIdempotencySurvivesRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	step2, replayed, err := e2.StepIdem(context.Background(), s.id, "k-step")
+	step2, replayed, err := e2.step(context.Background(), s.id, "k-step")
 	if err != nil || !replayed {
 		t.Fatalf("recovered step replay: replayed %t, err %v", replayed, err)
 	}
@@ -195,12 +195,12 @@ func TestSweepKeyed(t *testing.T) {
 	e := New(2)
 	sc, _ := platformScenario("b")
 	req := sweepRequest{Scenario: "b", Tiles: 4}
-	args := SweepArgs{Scenario: sc, Opts: simOptions(req)}
-	first, replayed, err := e.SweepKeyed(context.Background(), "sw-1", req.fingerprint(), args)
+	args := sweepArgs{Scenario: sc, Opts: simOptions(req)}
+	first, replayed, err := e.sweepKeyed(context.Background(), "sw-1", req.fingerprint(), args)
 	if err != nil || replayed {
 		t.Fatalf("first sweep: replayed %t, err %v", replayed, err)
 	}
-	again, replayed, err := e.SweepKeyed(context.Background(), "sw-1", req.fingerprint(), args)
+	again, replayed, err := e.sweepKeyed(context.Background(), "sw-1", req.fingerprint(), args)
 	if err != nil || !replayed {
 		t.Fatalf("retried sweep: replayed %t, err %v", replayed, err)
 	}
@@ -210,8 +210,8 @@ func TestSweepKeyed(t *testing.T) {
 		t.Fatalf("replayed sweep differs:\n%s\nvs\n%s", aj, fj)
 	}
 	other := sweepRequest{Scenario: "b", Tiles: 6}
-	if _, _, err := e.SweepKeyed(context.Background(), "sw-1", other.fingerprint(),
-		SweepArgs{Scenario: sc, Opts: simOptions(other)}); !errors.Is(err, ErrIdemConflict) {
+	if _, _, err := e.sweepKeyed(context.Background(), "sw-1", other.fingerprint(),
+		sweepArgs{Scenario: sc, Opts: simOptions(other)}); !errors.Is(err, ErrIdemConflict) {
 		t.Fatalf("sweep key reuse with different request: err %v, want ErrIdemConflict", err)
 	}
 }

@@ -348,6 +348,9 @@ func loadSessionState(dir, id string) (*sessionState, error) {
 				return nil, fmt.Errorf("engine: journal for %s is format v%d; this binary reads up to v%d",
 					id, rec.V, journalFormatVersion)
 			}
+			if rec.Config == nil {
+				return nil, fmt.Errorf("engine: journal for %s: create record without a config", id)
+			}
 			if !haveConfig {
 				st.cfg = *rec.Config
 				haveConfig = true

@@ -14,19 +14,19 @@ import (
 // advance.
 func stepScript(t *testing.T, e *Engine, id string) SessionResult {
 	t.Helper()
-	if _, err := e.Step(id); err != nil {
+	if _, err := e.StepCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.BatchStep(id, 3); err != nil {
+	if _, _, err := e.BatchStepIdem(context.Background(), id, 3, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AdvanceEpoch(id); err != nil {
+	if _, _, err := e.AdvanceEpochIdem(context.Background(), id, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(id); err != nil {
+	if _, err := e.StepCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.BatchStep(id, 2); err != nil {
+	if _, _, err := e.BatchStepIdem(context.Background(), id, 2, ""); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Result(id)
@@ -94,10 +94,10 @@ func TestRecoverBitIdentical(t *testing.T) {
 	// hints from the cache, so this also proves the recovery rewarmed the
 	// shared cache to the uninterrupted engine's view.
 	for _, e := range []*Engine{live, rec} {
-		if _, err := e.BatchStep(s.id, 3); err != nil {
+		if _, _, err := e.BatchStepIdem(context.Background(), s.id, 3, ""); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Step(s.id); err != nil {
+		if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestRecoverAfterGracefulClose(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(s.id); err == nil {
+	if _, err := e.StepCtx(context.Background(), s.id); err == nil {
 		t.Fatal("step after Close should fail")
 	}
 
@@ -197,7 +197,7 @@ func TestRecoverTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func TestRecoverCorruptMiddle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestRecoverAbortedStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := live.Step(s.id); err != nil {
+	if _, err := live.StepCtx(context.Background(), s.id); err != nil {
 		t.Fatal(err)
 	}
 
@@ -281,7 +281,7 @@ func TestRecoverAbortedStep(t *testing.T) {
 	// the strategy already produced its proposal.
 	block := make(chan struct{})
 	started := make(chan struct{})
-	go live.pool.Do(func() { close(started); <-block })
+	go live.pool.DoCtx(context.Background(), func() { close(started); <-block })
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -292,7 +292,7 @@ func TestRecoverAbortedStep(t *testing.T) {
 
 	// Continue the live session past the abort.
 	for i := 0; i < 2; i++ {
-		if _, err := live.Step(s.id); err != nil {
+		if _, err := live.StepCtx(context.Background(), s.id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +313,7 @@ func TestRecoverAbortedStep(t *testing.T) {
 
 	// And the recovered session keeps agreeing with the live one.
 	for _, e := range []*Engine{live, rec} {
-		if _, err := e.Step(s.id); err != nil {
+		if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,7 +339,7 @@ func TestSnapshotRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, err := e.StepCtx(context.Background(), s.id); err != nil {
 			t.Fatal(err)
 		}
 	}

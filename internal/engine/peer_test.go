@@ -48,16 +48,16 @@ func TestPeerCacheLookup(t *testing.T) {
 	// wants every probe answerable.
 	flatScript := func(t *testing.T, e *Engine, id string) SessionResult {
 		t.Helper()
-		if _, err := e.Step(id); err != nil {
+		if _, err := e.StepCtx(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.BatchStep(id, 3); err != nil {
+		if _, _, err := e.BatchStepIdem(context.Background(), id, 3, ""); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Step(id); err != nil {
+		if _, err := e.StepCtx(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.BatchStep(id, 2); err != nil {
+		if _, _, err := e.BatchStepIdem(context.Background(), id, 2, ""); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Result(id)

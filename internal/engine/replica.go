@@ -63,14 +63,7 @@ func (e *Engine) SetReplicaPlanner(fn ReplicaPlanner) {
 // a full resync to whatever follower it names. Called after fleet
 // membership changes.
 func (e *Engine) RewireReplicas() {
-	e.mu.Lock()
-	sessions := make([]*Session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		sessions = append(sessions, s)
-	}
-	e.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-	for _, s := range sessions {
+	for _, s := range e.liveSessions() {
 		s.mu.Lock()
 		s.repl = nil
 		s.mu.Unlock()
@@ -345,7 +338,7 @@ func (e *Engine) AppendReplica(ctx context.Context, id string, recs []journalRec
 	// node owns (or was promoted to own) the session, and records from
 	// an older generation are a deposed owner still trying to commit.
 	if s, ok := e.Session(id); ok {
-		if live := s.generation(); live > batchGen {
+		if live, _ := s.replState(); live > batchGen {
 			rs.mu.Unlock()
 			e.replRejects.Inc()
 			e.tel.Emit("repl.fenced", id, obsv.FromContext(ctx).TraceContext().TraceID,
@@ -602,11 +595,12 @@ func (e *Engine) PromoteReplica(ctx context.Context, id string, minGen uint64) (
 	return PromotedSession{ID: id, Iterations: len(s.actions), Epoch: s.epoch, Gen: newGen}, nil
 }
 
-// generation reads the session's fencing token under its lock.
-func (s *Session) generation() uint64 {
+// replState reads the session's generation and whether its replication
+// is lagging (degraded, single-copy), under its lock.
+func (s *Session) replState() (gen uint64, lagging bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen
+	return s.gen, s.repl != nil && s.repl.lagging
 }
 
 // Generation exposes the session's current generation (tests, status).
@@ -615,7 +609,8 @@ func (e *Engine) Generation(id string) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return s.generation(), true
+	gen, _ := s.replState()
+	return gen, true
 }
 
 // ReplicationLagging reports whether the session is in degraded
@@ -625,7 +620,6 @@ func (e *Engine) ReplicationLagging(id string) bool {
 	if !ok {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.repl != nil && s.repl.lagging
+	_, lagging := s.replState()
+	return lagging
 }

@@ -71,7 +71,7 @@ func TestReplicaShipTraceHeader(t *testing.T) {
 	// Telemetry off: the hop must not invent a header.
 	var plain shipRecorder
 	e, id := replicatedEngine(t, nil, plain.server(t).URL)
-	if _, err := e.Step(id); err != nil {
+	if _, err := e.StepCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	if h := plain.last(t); h != "" {
@@ -130,7 +130,7 @@ func TestPromoteReplicaNilTelemetry(t *testing.T) {
 
 	owner, id := replicatedEngine(t, nil, fsrv.URL)
 	for i := 0; i < 3; i++ {
-		if _, err := owner.Step(id); err != nil {
+		if _, err := owner.StepCtx(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestObservationLogTraceInvariant(t *testing.T) {
 				ctx = obsv.ContextWith(ctx, sc)
 			}
 			if batch > 0 {
-				_, err = e.BatchStepCtx(ctx, s.id, batch)
+				_, _, err = e.BatchStepIdem(ctx, s.id, batch, "")
 			} else {
 				_, err = e.StepCtx(ctx, s.id)
 			}

@@ -137,18 +137,27 @@ type SessionResult struct {
 	Regret float64 `json:"regret"`
 }
 
-// result snapshots the session under its lock.
+// result snapshots the session, trajectories included, under its lock.
 func (s *Session) result() SessionResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	res := s.summary()
+	res.Actions = append([]int(nil), s.actions...)
+	res.Durations = append([]float64(nil), s.durations...)
+	return res
+}
+
+// summary is the session's result without the Actions/Durations
+// trajectories, which is what /metrics serves: it copies no history,
+// so a scrape allocates the same however long the session ran. Under
+// the session lock.
+func (s *Session) summary() SessionResult {
 	res := SessionResult{
 		ID:         s.id,
 		Strategy:   s.driver.Name(),
 		Scenario:   s.ev.Scenario.Name,
 		Epoch:      s.epoch,
 		Iterations: len(s.actions),
-		Actions:    append([]int(nil), s.actions...),
-		Durations:  append([]float64(nil), s.durations...),
 		Total:      s.total,
 	}
 	if len(s.sims) > 0 {
