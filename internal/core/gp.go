@@ -103,13 +103,45 @@ type GPStrategy struct {
 	initQueue []int // parsimonious initial design (Section IV-D)
 	boundSet  bool
 
+	ws gpWorkspace
+
 	lastFit      time.Duration // wall-clock cost of the latest Next()
-	lastMean     map[int]float64
-	lastSD       map[int]float64
+	lastMean     []float64     // posterior at allowed[i]; nil before the first fit
+	lastSD       []float64
 	lastAlpha    float64
 	lastTheta    float64
 	pendingInit  bool
 	pendingValue int
+}
+
+// gpWorkspace holds what every model-based Next reuses: the allowed
+// actions as GP inputs, the trend basis, and the fit's input buffers.
+type gpWorkspace struct {
+	cand  [][]float64 // cand[i] is allowed[i] as a 1-D input
+	basis []gp.BasisFunc
+	xs    [][]float64 // len(xs) is the buffer size; xs[i] has length 1
+	ys    []float64
+}
+
+// observations returns the last m observations as fit inputs in the
+// workspace's buffers.
+func (w *gpWorkspace) observations(h *history, m int) ([][]float64, []float64) {
+	if len(w.xs) < m {
+		size := max(m, 2*len(w.xs))
+		flat := make([]float64, size)
+		w.xs = make([][]float64, size)
+		for i := range w.xs {
+			w.xs[i] = flat[i : i+1 : i+1]
+		}
+		w.ys = make([]float64, size)
+	}
+	lo := len(h.xs) - m
+	xs, ys := w.xs[:m], w.ys[:m]
+	for i := range xs {
+		xs[i][0] = h.xs[lo+i]
+		ys[i] = h.ys[lo+i]
+	}
+	return xs, ys
 }
 
 // NewGPUCB builds the off-the-shelf GP-UCB strategy.
@@ -149,12 +181,11 @@ func (g *GPStrategy) Allowed() []int { return append([]int(nil), g.allowed...) }
 // Posterior returns the latest fitted mean and standard deviation for an
 // action (valid after the first model-based Next).
 func (g *GPStrategy) Posterior(action int) (mean, sd float64, ok bool) {
-	if g.lastMean == nil {
+	i := sort.SearchInts(g.allowed, action)
+	if g.lastMean == nil || i == len(g.allowed) || g.allowed[i] != action {
 		return 0, 0, false
 	}
-	m, okm := g.lastMean[action]
-	s, oks := g.lastSD[action]
-	return m, s, okm && oks
+	return g.lastMean[i], g.lastSD[i], true
 }
 
 // Hyperparameters returns the latest (alpha, theta).
@@ -215,6 +246,12 @@ func (g *GPStrategy) computeBoundAndInit() {
 	}
 	if len(g.allowed) == 0 {
 		g.allowed = []int{g.ctx.N}
+	}
+	flat := make([]float64, len(g.allowed))
+	g.ws.cand = make([][]float64, len(g.allowed))
+	for i, n := range g.allowed {
+		flat[i] = float64(n)
+		g.ws.cand[i] = flat[i : i+1 : i+1]
 	}
 
 	if g.opt.UniformInit {
@@ -283,19 +320,16 @@ func (g *GPStrategy) isAllowed(n int) bool {
 // modelSelect fits the surrogate and returns the action minimizing the
 // optimistic lower confidence bound mu - sqrt(beta)*sigma.
 func (g *GPStrategy) modelSelect() int {
-	lo := 0
-	if g.opt.Window > 0 && len(g.hist.xs) > g.opt.Window {
-		lo = len(g.hist.xs) - g.opt.Window
+	m := len(g.hist.xs)
+	if g.opt.Window > 0 && m > g.opt.Window {
+		m = g.opt.Window
 	}
-	xs := make([][]float64, len(g.hist.xs)-lo)
-	ys := make([]float64, len(g.hist.ys)-lo)
+	xs, ys := g.ws.observations(g.hist, m)
 	useTrendBaseline := g.variant == VariantDiscontinuous &&
 		!g.opt.DisableTrend && g.ctx.LP != nil
-	for i := range xs {
-		xs[i] = []float64{g.hist.xs[lo+i]}
-		ys[i] = g.hist.ys[lo+i]
-		if useTrendBaseline {
-			ys[i] -= g.ctx.LP(int(g.hist.xs[lo+i]))
+	if useTrendBaseline {
+		for i, x := range xs {
+			ys[i] -= g.ctx.LP(int(x[0]))
 		}
 	}
 	noise := gp.EstimateNoise(xs, ys, g.opt.NoiseFallback)
@@ -306,17 +340,20 @@ func (g *GPStrategy) modelSelect() int {
 	var model gp.Model
 	switch g.variant {
 	case VariantDiscontinuous:
-		basis := []gp.BasisFunc{gp.ConstantBasis(), gp.LinearBasis(0)}
-		if !g.opt.DisableDummies {
-			ends := g.ctx.GroupEnds()
-			for gi := 1; gi < len(ends); gi++ {
-				lo := float64(ends[gi-1])
-				hi := float64(ends[gi])
-				basis = append(basis, gp.IndicatorBasis(func(x []float64) bool {
-					return x[0] > lo && x[0] <= hi
-				}))
+		if g.ws.basis == nil {
+			g.ws.basis = []gp.BasisFunc{gp.ConstantBasis(), gp.LinearBasis(0)}
+			if !g.opt.DisableDummies {
+				ends := g.ctx.GroupEnds()
+				for gi := 1; gi < len(ends); gi++ {
+					lo := float64(ends[gi-1])
+					hi := float64(ends[gi])
+					g.ws.basis = append(g.ws.basis, gp.IndicatorBasis(func(x []float64) bool {
+						return x[0] > lo && x[0] <= hi
+					}))
+				}
 			}
 		}
+		basis := g.ws.basis
 		// alpha is the sample variance of what the GP must still
 		// explain: the residual after the trend (OLS pre-fit). Using the
 		// pre-trend variance would inflate posterior uncertainty at
@@ -364,16 +401,18 @@ func (g *GPStrategy) modelSelect() int {
 		}
 	}
 
-	g.lastMean = make(map[int]float64, len(g.allowed))
-	g.lastSD = make(map[int]float64, len(g.allowed))
+	if g.lastMean == nil {
+		g.lastMean = make([]float64, len(g.allowed))
+		g.lastSD = make([]float64, len(g.allowed))
+	}
+	fit.PredictInto(g.ws.cand, g.lastMean, g.lastSD)
 	best, bestScore := g.allowed[0], math.Inf(1)
-	for _, n := range g.allowed {
-		m, sd := fit.Predict([]float64{float64(n)})
+	for i, n := range g.allowed {
+		m, sd := g.lastMean[i], g.lastSD[i]
 		if useTrendBaseline {
 			m += g.ctx.LP(n)
+			g.lastMean[i] = m
 		}
-		g.lastMean[n] = m
-		g.lastSD[n] = sd
 		// All acquisitions are folded into a score to minimize.
 		var score float64
 		switch g.opt.Acq {

@@ -37,6 +37,8 @@ type GP2D struct {
 
 	initQueue []Action2D
 	actions   []Action2D
+	cand      [][]float64 // cand[i] is actions[i] as a GP input
+	mean, sd  []float64   // posterior at actions[i]
 }
 
 // NewGP2D builds the 2-D strategy.
@@ -57,6 +59,14 @@ func NewGP2D(ctx Context2D, opt GPOptions) *GP2D {
 			g.actions = append(g.actions, Action2D{gen, fact})
 		}
 	}
+	flat := make([]float64, 2*len(g.actions))
+	g.cand = make([][]float64, len(g.actions))
+	for i, a := range g.actions {
+		flat[2*i], flat[2*i+1] = float64(a.Gen), float64(a.Fact)
+		g.cand[i] = flat[2*i : 2*i+2 : 2*i+2]
+	}
+	g.mean = make([]float64, len(g.actions))
+	g.sd = make([]float64, len(g.actions))
 	midG := (ctx.MinGen + ctx.N) / 2
 	midF := (ctx.MinFact + ctx.N) / 2
 	g.initQueue = []Action2D{
@@ -118,9 +128,9 @@ func (g *GP2D) modelSelect() Action2D {
 	sb := math.Sqrt(beta)
 	best := g.actions[0]
 	bestScore := math.Inf(1)
-	for _, a := range g.actions {
-		m, sd := fit.Predict([]float64{float64(a.Gen), float64(a.Fact)})
-		if score := m - sb*sd; score < bestScore {
+	fit.PredictInto(g.cand, g.mean, g.sd)
+	for i, a := range g.actions {
+		if score := g.mean[i] - sb*g.sd[i]; score < bestScore {
 			best, bestScore = a, score
 		}
 	}

@@ -11,13 +11,10 @@ import (
 // EstimateNoise implements the paper's pooled-replicate estimator of the
 // observation noise sigma_N^2: over the set S of inputs measured more than
 // once, sum (y - ybar(x))^2 / (sum_x n(x) - |S|). It returns fallback when
-// no input has replicates.
+// no input has replicates. The groups are summed in the order their input
+// first occurs, so the result is the same bit pattern on every call.
 func EstimateNoise(xs [][]float64, ys []float64, fallback float64) float64 {
-	groups := map[string][]float64{}
-	for i, x := range xs {
-		k := keyOf(x)
-		groups[k] = append(groups[k], ys[i])
-	}
+	groups, _ := groupObservations(xs, ys)
 	ss := 0.0
 	dof := 0
 	for _, obs := range groups {
@@ -37,6 +34,38 @@ func EstimateNoise(xs [][]float64, ys []float64, fallback float64) float64 {
 	return ss / float64(dof)
 }
 
+// groupObservations splits ys into the groups of equal inputs, each in
+// observation order, the groups in the order their input first occurs.
+// first[g] is the index of group g's first observation. A 1-D input is
+// keyed by its bits (-0 folded into +0), which allocates no key string.
+func groupObservations(xs [][]float64, ys []float64) (groups [][]float64, first []int) {
+	byBits := map[uint64]int{}
+	byKey := map[string]int{}
+	for i, x := range xs {
+		var g int
+		var ok bool
+		if len(x) == 1 {
+			b := math.Float64bits(x[0] + 0) // -0 + 0 is +0
+			if g, ok = byBits[b]; !ok {
+				g = len(first)
+				byBits[b] = g
+			}
+		} else {
+			k := keyOf(x)
+			if g, ok = byKey[k]; !ok {
+				g = len(first)
+				byKey[k] = g
+			}
+		}
+		if !ok {
+			groups = append(groups, nil)
+			first = append(first, i)
+		}
+		groups[g] = append(groups[g], ys[i])
+	}
+	return groups, first
+}
+
 func keyOf(x []float64) string {
 	// Inputs in this repository are small integer-valued vectors; a plain
 	// textual key is exact and allocation-cheap at this scale.
@@ -50,9 +79,7 @@ func keyOf(x []float64) string {
 
 func appendFloat(b []byte, v float64) []byte {
 	// Exact for the integers used as actions; fall back to bits otherwise.
-	//lint:allow floatsafe v == Trunc(v) is the canonical exact is-integer test; both sides share one rounding
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		n := int64(v)
+	if n, ok := exactInt(v, 1e15); ok {
 		if n < 0 {
 			b = append(b, '-')
 			n = -n
@@ -74,6 +101,16 @@ func appendFloat(b []byte, v float64) []byte {
 		b = append(b, byte(bits>>uint(s)))
 	}
 	return b
+}
+
+// exactInt returns v as an integer when v is integer-valued and
+// |v| < limit.
+func exactInt(v, limit float64) (int64, bool) {
+	//lint:allow floatsafe v == Trunc(v) is the canonical exact is-integer test; both sides share one rounding
+	if v == math.Trunc(v) && math.Abs(v) < limit {
+		return int64(v), true
+	}
+	return 0, false
 }
 
 // SampleVariance returns the sample variance of ys; the paper's
@@ -159,21 +196,19 @@ func EstimateMLE(xs [][]float64, ys []float64, opt MLEOptions) (alpha, theta flo
 // Replicates returns, sorted by input key, the groups of repeated
 // observations (useful for diagnostics and tests).
 func Replicates(xs [][]float64, ys []float64) [][]float64 {
-	groups := map[string][]float64{}
-	for i, x := range xs {
-		k := keyOf(x)
-		groups[k] = append(groups[k], ys[i])
-	}
-	keys := make([]string, 0, len(groups))
-	for k, obs := range groups {
+	groups, first := groupObservations(xs, ys)
+	keys := make([]string, len(groups))
+	var reps []int
+	for g, obs := range groups {
 		if len(obs) > 1 {
-			keys = append(keys, k)
+			keys[g] = keyOf(xs[first[g]])
+			reps = append(reps, g)
 		}
 	}
-	sort.Strings(keys)
-	out := make([][]float64, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, groups[k])
+	sort.Slice(reps, func(a, b int) bool { return keys[reps[a]] < keys[reps[b]] })
+	out := make([][]float64, len(reps))
+	for i, g := range reps {
+		out[i] = groups[g]
 	}
 	return out
 }

@@ -46,11 +46,14 @@ type Model struct {
 type Fit struct {
 	model   Model
 	x       [][]float64
-	chol    *linalg.Matrix // Cholesky factor of K + noise*I
+	chol    *linalg.Matrix // Cholesky factor L of K + noise*I
+	cholT   []float64      // L^T row-major: back substitution reads rows
 	gamma   []float64      // GLS trend coefficients
 	resid   []float64      // K^-1 (y - F gamma)
 	fginv   *linalg.Matrix // (F^T K^-1 F)^-1, nil without trend
-	kinvF   *linalg.Matrix // K^-1 F, nil without trend
+	kinvFT  []float64      // (K^-1 F)^T row-major (p x n), nil without trend
+	tab     *expTable      // nil unless Exponential on integer 1-D inputs
+	xi      []int          // the inputs as integers when tab is set
 	logLik  float64
 	nObs    int
 	nuggets float64
@@ -78,10 +81,16 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		return nil, fmt.Errorf("gp: negative noise variance %v", m.Noise)
 	}
 	jitter := jitterFrac * (m.Kernel.Variance() + 1)
+	tab, xi := newExpTable(m.Kernel, xs)
 	k := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			v := m.Kernel.Cov(Distance(xs[i], xs[j]))
+			var v float64
+			if tab != nil {
+				v = tab.cov(xi[i] - xi[j])
+			} else {
+				v = m.Kernel.Cov(Distance(xs[i], xs[j]))
+			}
 			if i == j {
 				v += m.Noise + jitter
 			}
@@ -94,7 +103,8 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		return nil, fmt.Errorf("gp: covariance not positive definite: %w", err)
 	}
 
-	f := &Fit{model: m, x: deepCopy(xs), chol: chol, nObs: n, nuggets: jitter}
+	f := &Fit{model: m, x: deepCopy(xs), chol: chol, cholT: chol.T().Data,
+		tab: tab, xi: xi, nObs: n, nuggets: jitter}
 
 	p := len(m.Basis)
 	resid := append([]float64(nil), ys...)
@@ -127,7 +137,7 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		}
 		f.gamma = gamma
 		f.fginv = fginv
-		f.kinvF = kinvF
+		f.kinvFT = kinvF.T().Data
 	}
 	f.resid = linalg.CholSolve(chol, resid)
 
@@ -139,42 +149,6 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 	f.logLik = -0.5*quad - 0.5*linalg.LogDetFromChol(chol) -
 		0.5*float64(n)*math.Log(2*math.Pi)
 	return f, nil
-}
-
-// Predict returns the kriging mean and standard deviation of the latent
-// function f at x (noise-free prediction).
-func (f *Fit) Predict(x []float64) (mean, sd float64) {
-	n := f.nObs
-	kstar := make([]float64, n)
-	for i := 0; i < n; i++ {
-		kstar[i] = f.model.Kernel.Cov(Distance(x, f.x[i]))
-	}
-	mean = linalg.Dot(kstar, f.resid)
-	kinvK := linalg.CholSolve(f.chol, kstar)
-	variance := f.model.Kernel.Variance() - linalg.Dot(kstar, kinvK)
-
-	if p := len(f.model.Basis); p > 0 {
-		fx := make([]float64, p)
-		for j := 0; j < p; j++ {
-			fx[j] = f.model.Basis[j](x)
-		}
-		mean += linalg.Dot(fx, f.gamma)
-		// Universal kriging variance inflation:
-		// u = f(x) - F^T K^-1 k*, add u^T (F^T K^-1 F)^-1 u.
-		u := make([]float64, p)
-		for j := 0; j < p; j++ {
-			s := fx[j]
-			for i := 0; i < n; i++ {
-				s -= f.kinvF.At(i, j) * kstar[i]
-			}
-			u[j] = s
-		}
-		variance += linalg.Dot(u, linalg.MulVec(f.fginv, u))
-	}
-	if variance < 0 {
-		variance = 0
-	}
-	return mean, math.Sqrt(variance)
 }
 
 // LogLikelihood returns the log marginal likelihood of the fit.
@@ -189,10 +163,18 @@ func (f *Fit) TrendCoefficients() []float64 {
 // NumObservations returns the number of conditioning points.
 func (f *Fit) NumObservations() int { return f.nObs }
 
+// deepCopy copies xs into one backing array.
 func deepCopy(xs [][]float64) [][]float64 {
+	size := 0
+	for _, x := range xs {
+		size += len(x)
+	}
+	flat := make([]float64, 0, size)
 	out := make([][]float64, len(xs))
 	for i, x := range xs {
-		out[i] = append([]float64(nil), x...)
+		lo := len(flat)
+		flat = append(flat, x...)
+		out[i] = flat[lo:len(flat):len(flat)]
 	}
 	return out
 }

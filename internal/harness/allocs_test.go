@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"phasetune/internal/core"
 	"phasetune/internal/geostat"
 	"phasetune/internal/platform"
 )
@@ -129,4 +130,55 @@ func TestEvaluatorRetainsNoTemplate(t *testing.T) {
 	if session >= limit {
 		t.Fatalf("evaluator retains %d B after evaluating: a template is pinned on it", session)
 	}
+}
+
+// gpDecisionStrategy returns a GP-discontinuous strategy on scenario p
+// (128 nodes) at 24 tiles that has observed 50 RunOnline iterations:
+// its next Next is a model-based decision over every allowed action.
+func gpDecisionStrategy(tb testing.TB) core.Strategy {
+	tb.Helper()
+	sc, _ := platform.ScenarioByKey("p")
+	opts := SimOptions{Tiles: 24}
+	lp, err := LPBound(sc, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := NewStrategy("GP-discontinuous", core.Context{
+		N: sc.Platform.N(), Min: sc.MinNodes, GroupSizes: sc.Platform.GroupSizes(), LP: lp,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := RunOnline(sc, s, 50, opts, 1); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkGPDecision is the GP decision layer of a cached engine step:
+// one model-based Next of GP-discontinuous on scenario p after 50
+// observations (fit, then the posterior at every allowed action).
+func BenchmarkGPDecision(b *testing.B) {
+	s := gpDecisionStrategy(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Next()
+	}
+}
+
+// gpDecisionAllocBudget bounds the heap allocations of one model-based
+// GP-discontinuous decision (BenchmarkGPDecision): a third of the 1116
+// allocs/op that one Predict call per allowed action made on
+// go1.24/amd64. The batched posterior makes 140; two allocations per
+// allowed action (119 on scenario p) would exceed the budget.
+const gpDecisionAllocBudget = 1116 / 3
+
+func TestGPDecisionAllocs(t *testing.T) {
+	s := gpDecisionStrategy(t)
+	allocs := testing.AllocsPerRun(20, func() { s.Next() })
+	if allocs > gpDecisionAllocBudget {
+		t.Fatalf("GP decision: %.0f allocs/op, budget %d", allocs, gpDecisionAllocBudget)
+	}
+	t.Logf("GP decision: %.0f allocs/op", allocs)
 }

@@ -74,11 +74,18 @@ func Fig3Demo(seed int64) (grid []Fig3Point, xs []float64, ys []float64, err err
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	var at [][]float64
 	for x := 0.0; x <= 4*math.Pi+1e-9; x += 4 * math.Pi / 100 {
-		m, sd := fit.Predict([]float64{x})
+		at = append(at, []float64{x})
+	}
+	mean := make([]float64, len(at))
+	sd := make([]float64, len(at))
+	fit.PredictInto(at, mean, sd)
+	for i, x := range at {
+		m := mean[i]
 		grid = append(grid, Fig3Point{
-			X: x, Truth: math.Cos(x), Mean: m,
-			Lo: m - 1.96*sd, Hi: m + 1.96*sd,
+			X: x[0], Truth: math.Cos(x[0]), Mean: m,
+			Lo: m - 1.96*sd[i], Hi: m + 1.96*sd[i],
 		})
 	}
 	return grid, xs, ys, nil

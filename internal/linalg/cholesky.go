@@ -19,22 +19,24 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	n := a.Rows
 	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			v := l.At(j, k)
+		// Row slices of L; the sums run over k in increasing order.
+		lj := l.Data[j*n : j*n+j]
+		d := a.Data[j*n+j]
+		for _, v := range lj {
 			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, ErrNotPositiveDefinite
 		}
 		d = math.Sqrt(d)
-		l.Set(j, j, d)
+		l.Data[j*n+j] = d
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			li := l.Data[i*n : i*n+len(lj)]
+			s := a.Data[i*n+j]
+			for k, v := range li {
+				s -= v * lj[k]
 			}
-			l.Set(i, j, s/d)
+			l.Data[i*n+j] = s / d
 		}
 	}
 	return l, nil

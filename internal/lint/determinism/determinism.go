@@ -9,6 +9,7 @@ package determinism
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -33,8 +34,10 @@ const Name = "determinism"
 //   - ranging over a map when the loop body leaks the iteration order
 //     into an order-sensitive sink (append to an outer slice with no
 //     subsequent sort, a channel send, or a Write/Push/Schedule/
-//     Observe/Record/print call) — Go randomizes map order per
-//     iteration, so the output differs run to run;
+//     Observe/Record/print call, or a floating-point +=, -=, *= or /=
+//     to a variable declared outside the loop) — Go randomizes map
+//     order per iteration, so the output differs run to run, and
+//     floating-point accumulation rounds differently in each order;
 //   - importing phasetune/internal/obsv/wallclock, the module's only
 //     sanctioned wall-clock read: simulation packages take telemetry as
 //     an injected *obsv.Telemetry and must never construct the
@@ -200,6 +203,11 @@ func checkMapRange(pass *analysis.Pass, file *ast.File, rng *ast.RangeStmt) {
 			pass.Reportf(n.Pos(),
 				"channel send inside map iteration: receiver observes Go's randomized map order")
 			return true
+		case *ast.AssignStmt:
+			if isFloatAccumToOuter(pass, n, rng) {
+				pass.Reportf(n.Pos(),
+					"floating-point %s to an outer variable inside map iteration: the rounded result depends on the randomized map order; iterate in a fixed order", n.Tok)
+			}
 		case *ast.CallExpr:
 			if name, sink := sinkCall(pass, n); sink {
 				pass.Reportf(n.Pos(),
@@ -212,6 +220,35 @@ func checkMapRange(pass *analysis.Pass, file *ast.File, rng *ast.RangeStmt) {
 		}
 		return true
 	})
+}
+
+// isFloatAccumToOuter reports whether assign is a floating-point
+// +=, -=, *= or /= to a variable declared outside the range statement
+// (or to a field, conservatively outer). Integer accumulation is exact
+// and stays silent.
+func isFloatAccumToOuter(pass *analysis.Pass, assign *ast.AssignStmt, rng *ast.RangeStmt) bool {
+	switch assign.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	default:
+		return false
+	}
+	lhs := assign.Lhs[0]
+	t := pass.TypesInfo.Types[lhs].Type
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	if !ok || b.Info()&(types.IsFloat|types.IsComplex) == 0 {
+		return false
+	}
+	switch lhs := lhs.(type) {
+	case *ast.Ident:
+		obj := pass.TypesInfo.Uses[lhs]
+		return obj != nil && (obj.Pos() < rng.Pos() || obj.Pos() >= rng.End())
+	case *ast.SelectorExpr:
+		return true
+	}
+	return false
 }
 
 // sinkCall reports whether call is a method or fmt call named like an

@@ -74,6 +74,47 @@ func mapOrderIntoEvents(m map[string]float64, c *clock) {
 	}
 }
 
+type stats struct{ total float64 }
+
+// Floating-point accumulation rounds differently in every order, so a
+// sum over a map changes its last bits from run to run.
+func mapOrderFloatSums(m map[string][]float64, st *stats) (float64, float64) {
+	ss, prod := 0.0, 1.0
+	for _, obs := range m {
+		for _, y := range obs {
+			ss += y * y // want `floating-point \+= to an outer variable inside map iteration`
+		}
+		prod *= obs[0]            // want `floating-point \*= to an outer variable inside map iteration`
+		st.total -= obs[0]        // want `floating-point -= to an outer variable inside map iteration`
+		prod /= float64(len(obs)) // want `floating-point /= to an outer variable inside map iteration`
+	}
+	return ss, prod
+}
+
+func mapOrderFloatSafe(m map[string][]float64, keys []string) (float64, int) {
+	// A float accumulator declared inside the loop body is per-key.
+	for _, obs := range m {
+		local := 0.0
+		for _, y := range obs {
+			local += y
+		}
+		_ = local
+	}
+	// Integer accumulation is exact in any order.
+	n := 0
+	for _, obs := range m {
+		n += len(obs)
+	}
+	// Summing in a fixed key order is the fix.
+	ss := 0.0
+	for _, k := range keys {
+		for _, y := range m[k] {
+			ss += y
+		}
+	}
+	return ss, n
+}
+
 func mapOrderSafe(m map[string]int) (int, []string) {
 	// Pure accumulation is order-independent.
 	sum := 0
