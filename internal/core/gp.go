@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -115,12 +116,17 @@ type GPStrategy struct {
 }
 
 // gpWorkspace holds what every model-based Next reuses: the allowed
-// actions as GP inputs, the trend basis, and the fit's input buffers.
+// actions as GP inputs, the trend basis, the fit's input buffers, and
+// the buffers of the noise estimate and the OLS trend pre-fit.
 type gpWorkspace struct {
 	cand  [][]float64 // cand[i] is allowed[i] as a 1-D input
 	basis []gp.BasisFunc
 	xs    [][]float64 // len(xs) is the buffer size; xs[i] has length 1
 	ys    []float64
+	noise gp.NoiseEstimator
+
+	f, ft, ftf   linalg.Matrix // F, F^T and the factored F^T F + ridge
+	gamma, resid []float64
 }
 
 // observations returns the last m observations as fit inputs in the
@@ -332,7 +338,7 @@ func (g *GPStrategy) modelSelect() int {
 			ys[i] -= g.ctx.LP(int(x[0]))
 		}
 	}
-	noise := gp.EstimateNoise(xs, ys, g.opt.NoiseFallback)
+	noise := g.ws.noise.Estimate(xs, ys, g.opt.NoiseFallback)
 	if noise <= 0 {
 		noise = g.opt.NoiseFallback
 	}
@@ -360,7 +366,7 @@ func (g *GPStrategy) modelSelect() int {
 		// unexplored points and force a full sweep — precisely what the
 		// trend exists to avoid (the paper's Figure 4 (C) skips the
 		// right zone for this reason).
-		alpha := sampleVariance(olsResiduals(xs, ys, basis))
+		alpha := sampleVariance(g.ws.olsResiduals(xs, ys, basis))
 		if alpha <= 0 {
 			alpha = 1
 		}
@@ -468,33 +474,49 @@ func (g *GPStrategy) leastMeasured() int {
 
 // olsResiduals returns y - F*gamma for the ordinary-least-squares trend
 // fit (ridge-stabilized); used to size the GP variance around the trend.
-func olsResiduals(xs [][]float64, ys []float64, basis []gp.BasisFunc) []float64 {
+// It computes in the workspace's buffers with the arithmetic of
+// linalg.Mul, MulVec and SolveSPD, so the result has the same bits as
+// with fresh matrices. The result is valid until the next call.
+func (w *gpWorkspace) olsResiduals(xs [][]float64, ys []float64, basis []gp.BasisFunc) []float64 {
 	n := len(xs)
 	p := len(basis)
 	if n == 0 || p == 0 || n < p {
-		return append([]float64(nil), ys...)
+		return ys
 	}
-	f := linalg.NewMatrix(n, p)
-	for i := 0; i < n; i++ {
-		for j := 0; j < p; j++ {
-			f.Set(i, j, basis[j](xs[i]))
+	f, ft := reshape(&w.f, n, p), reshape(&w.ft, p, n)
+	for i, x := range xs {
+		for j, b := range basis {
+			v := b(x)
+			f.Data[i*p+j] = v
+			ft.Data[j*n+i] = v
 		}
 	}
-	ftf := linalg.Mul(f.T(), f)
+	ftf := reshape(&w.ftf, p, p)
+	linalg.MulInto(ftf, ft, f)
 	for d := 0; d < p; d++ {
 		ftf.Add(d, d, 1e-8)
 	}
-	fty := linalg.MulVec(f.T(), ys)
-	gamma, err := linalg.SolveSPD(ftf, fty)
-	if err != nil {
-		return append([]float64(nil), ys...)
+	w.gamma = slices.Grow(w.gamma[:0], p)[:p]
+	linalg.MulVecInto(w.gamma, ft, ys)
+	if err := linalg.CholeskyInto(ftf, ftf); err != nil {
+		return ys
 	}
-	fit := linalg.MulVec(f, gamma)
-	out := make([]float64, n)
+	linalg.CholSolveInto(ftf, w.gamma, w.gamma)
+	out := slices.Grow(w.resid[:0], n)[:n]
+	w.resid = out
+	linalg.MulVecInto(out, f, w.gamma)
 	for i := range out {
-		out[i] = ys[i] - fit[i]
+		out[i] = ys[i] - out[i]
 	}
 	return out
+}
+
+// reshape makes m an r x c matrix on its own storage, growing it when
+// needed; the contents are unspecified.
+func reshape(m *linalg.Matrix, r, c int) *linalg.Matrix {
+	m.Rows, m.Cols = r, c
+	m.Data = slices.Grow(m.Data[:0], r*c)[:r*c]
+	return m
 }
 
 func sampleVariance(ys []float64) float64 {

@@ -363,41 +363,75 @@ func BenchmarkDisabledTelemetryHooks(b *testing.B) {
 	}
 }
 
-// BenchmarkStepTelemetry compares full engine steps with telemetry off
-// and on (metrics + spans), on a shared-cache workload.
+// stepHistory is the number of steps every session of
+// BenchmarkStepTelemetry has taken before its timed step.
+const stepHistory = 8
+
+// BenchmarkStepTelemetry compares one cached engine step with telemetry
+// off and on. Every timed step is step stepHistory+1 of a fresh UCB
+// session on scenario b with the same seed, so each op does the same
+// work whatever b.N is. Batches of sessions are built with the timer
+// stopped, each on a new engine (and telemetry, whose trace store grows
+// with every session) whose cache an untimed first session filled.
 func BenchmarkStepTelemetry(b *testing.B) {
+	cfg := SessionConfig{ScenarioKey: "b", Strategy: "UCB", Seed: 7, Tiles: 4}
+	const batch = 64
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
-			var opts Options
-			opts.Workers = 1
+			var e *Engine
 			var tel *obsv.Telemetry
-			if mode == "on" {
-				tel = obsv.NewTelemetry(fakeNanos())
-				opts.Telemetry = tel
-			}
-			e := NewWithOptions(opts)
-			s, err := e.CreateSession(SessionConfig{
-				ScenarioKey: "b", Strategy: "UCB", Seed: 7, Tiles: 4,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			step := func(id string) {
 				ctx := context.Background()
 				if tel != nil {
-					sc, end := tel.Trace.StartRequest(s.id, "bench")
+					sc, end := tel.Trace.StartRequest(id, "bench")
+					defer end()
 					ctx = obsv.ContextWith(ctx, sc)
-					if _, err := e.StepCtx(ctx, s.id); err != nil {
-						b.Fatal(err)
-					}
-					end()
-					continue
 				}
-				if _, err := e.StepCtx(ctx, s.id); err != nil {
+				if _, err := e.StepCtx(ctx, id); err != nil {
 					b.Fatal(err)
 				}
 			}
+			session := func() string {
+				s, err := e.CreateSession(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for h := 0; h < stepHistory; h++ {
+					step(s.id)
+				}
+				return s.id
+			}
+			// fresh returns k sessions at stepHistory steps on a new
+			// engine whose cache holds their next evaluation.
+			ids := make([]string, batch)
+			fresh := func(k int) []string {
+				if e != nil {
+					_ = e.Close() // no journal: nothing to flush
+				}
+				opts := Options{Workers: 1}
+				if tel = nil; mode == "on" {
+					tel = obsv.NewTelemetry(fakeNanos())
+					opts.Telemetry = tel
+				}
+				e = NewWithOptions(opts)
+				step(session())
+				for i := range ids[:k] {
+					ids[i] = session()
+				}
+				return ids[:k]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch {
+				b.StopTimer()
+				ids := fresh(min(batch, b.N-i))
+				b.StartTimer()
+				for _, id := range ids {
+					step(id)
+				}
+			}
+			b.StopTimer()
+			_ = e.Close()
 		})
 	}
 }

@@ -1,8 +1,9 @@
 package gp
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"phasetune/internal/optimize"
 	"phasetune/internal/stats"
@@ -14,13 +15,36 @@ import (
 // no input has replicates. The groups are summed in the order their input
 // first occurs, so the result is the same bit pattern on every call.
 func EstimateNoise(xs [][]float64, ys []float64, fallback float64) float64 {
-	groups, _ := groupObservations(xs, ys)
+	var e NoiseEstimator
+	return e.Estimate(xs, ys, fallback)
+}
+
+// NoiseEstimator is EstimateNoise with its buffers kept across calls, for
+// a caller that estimates the noise on every decision. The zero value is
+// ready to use.
+type NoiseEstimator struct {
+	order []int
+	runs  []run
+	obs   []float64
+}
+
+// run is one group of equal inputs: order[lo:hi].
+type run struct{ lo, hi int }
+
+// Estimate returns EstimateNoise(xs, ys, fallback), with the same bits.
+func (e *NoiseEstimator) Estimate(xs [][]float64, ys []float64, fallback float64) float64 {
+	order, runs := e.group(xs)
 	ss := 0.0
 	dof := 0
-	for _, obs := range groups {
-		if len(obs) < 2 {
+	for _, r := range runs {
+		if r.hi-r.lo < 2 {
 			continue
 		}
+		obs := e.obs[:0]
+		for _, i := range order[r.lo:r.hi] {
+			obs = append(obs, ys[i])
+		}
+		e.obs = obs
 		m := stats.Mean(obs)
 		for _, y := range obs {
 			d := y - m
@@ -34,36 +58,41 @@ func EstimateNoise(xs [][]float64, ys []float64, fallback float64) float64 {
 	return ss / float64(dof)
 }
 
-// groupObservations splits ys into the groups of equal inputs, each in
-// observation order, the groups in the order their input first occurs.
-// first[g] is the index of group g's first observation. A 1-D input is
-// keyed by its bits (-0 folded into +0), which allocates no key string.
-func groupObservations(xs [][]float64, ys []float64) (groups [][]float64, first []int) {
-	byBits := map[uint64]int{}
-	byKey := map[string]int{}
-	for i, x := range xs {
-		var g int
-		var ok bool
-		if len(x) == 1 {
-			b := math.Float64bits(x[0] + 0) // -0 + 0 is +0
-			if g, ok = byBits[b]; !ok {
-				g = len(first)
-				byBits[b] = g
-			}
-		} else {
-			k := keyOf(x)
-			if g, ok = byKey[k]; !ok {
-				g = len(first)
-				byKey[k] = g
-			}
-		}
-		if !ok {
-			groups = append(groups, nil)
-			first = append(first, i)
-		}
-		groups[g] = append(groups[g], ys[i])
+// group orders the observation indices so that equal inputs are
+// adjacent, each group in observation order, and returns the groups in
+// the order their input first occurs. order[r.lo] is the first
+// observation of group r.
+func (e *NoiseEstimator) group(xs [][]float64) (order []int, runs []run) {
+	order = e.order[:0]
+	for i := range xs {
+		order = append(order, i)
 	}
-	return groups, first
+	slices.SortStableFunc(order, func(a, b int) int { return compareInputs(xs[a], xs[b]) })
+	runs = e.runs[:0]
+	for r := range order {
+		if r == 0 || compareInputs(xs[order[r-1]], xs[order[r]]) != 0 {
+			runs = append(runs, run{lo: r})
+		}
+		runs[len(runs)-1].hi = r + 1
+	}
+	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(order[a.lo], order[b.lo]) })
+	e.order, e.runs = order, runs
+	return order, runs
+}
+
+// compareInputs is a total order on inputs in which two inputs are equal
+// exactly when they have the same length and each coordinate has the
+// same bits, -0 folded into +0.
+func compareInputs(a, b []float64) int {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
+	}
+	for i, v := range a {
+		if c := cmp.Compare(math.Float64bits(v+0), math.Float64bits(b[i]+0)); c != 0 { // -0 + 0 is +0
+			return c
+		}
+	}
+	return 0
 }
 
 func keyOf(x []float64) string {
@@ -196,19 +225,27 @@ func EstimateMLE(xs [][]float64, ys []float64, opt MLEOptions) (alpha, theta flo
 // Replicates returns, sorted by input key, the groups of repeated
 // observations (useful for diagnostics and tests).
 func Replicates(xs [][]float64, ys []float64) [][]float64 {
-	groups, first := groupObservations(xs, ys)
-	keys := make([]string, len(groups))
-	var reps []int
-	for g, obs := range groups {
-		if len(obs) > 1 {
-			keys[g] = keyOf(xs[first[g]])
-			reps = append(reps, g)
-		}
+	type group struct {
+		key string
+		obs []float64
 	}
-	sort.Slice(reps, func(a, b int) bool { return keys[reps[a]] < keys[reps[b]] })
-	out := make([][]float64, len(reps))
-	for i, g := range reps {
-		out[i] = groups[g]
+	var e NoiseEstimator
+	order, runs := e.group(xs)
+	var groups []group
+	for _, r := range runs {
+		if r.hi-r.lo < 2 {
+			continue
+		}
+		g := group{key: keyOf(xs[order[r.lo]])}
+		for _, i := range order[r.lo:r.hi] {
+			g.obs = append(g.obs, ys[i])
+		}
+		groups = append(groups, g)
+	}
+	slices.SortFunc(groups, func(a, b group) int { return cmp.Compare(a.key, b.key) })
+	out := make([][]float64, len(groups))
+	for i, g := range groups {
+		out[i] = g.obs
 	}
 	return out
 }

@@ -42,18 +42,19 @@ type Model struct {
 	Basis  []BasisFunc
 }
 
-// Fit is a conditioned Gaussian process ready for prediction.
+// Fit is a conditioned Gaussian process ready for prediction. An
+// Exponential kernel on 1-D inputs is fitted in state-space form (ss);
+// every other model by a dense Cholesky factor of K.
 type Fit struct {
 	model   Model
-	x       [][]float64
-	chol    *linalg.Matrix // Cholesky factor L of K + noise*I
-	cholT   []float64      // L^T row-major: back substitution reads rows
+	ss      *stateSpace    // nil for a dense fit
+	x       [][]float64    // dense: the inputs
+	chol    *linalg.Matrix // dense: Cholesky factor L of K + noise*I
+	cholT   []float64      // dense: L^T row-major, back substitution reads rows
 	gamma   []float64      // GLS trend coefficients
-	resid   []float64      // K^-1 (y - F gamma)
-	fginv   *linalg.Matrix // (F^T K^-1 F)^-1, nil without trend
-	kinvFT  []float64      // (K^-1 F)^T row-major (p x n), nil without trend
-	tab     *expTable      // nil unless Exponential on integer 1-D inputs
-	xi      []int          // the inputs as integers when tab is set
+	resid   []float64      // dense: K^-1 (y - F gamma)
+	fginv   *linalg.Matrix // dense: (F^T K^-1 F)^-1, nil without trend
+	kinvFT  []float64      // dense: (K^-1 F)^T row-major (p x n), nil without trend
 	logLik  float64
 	nObs    int
 	nuggets float64
@@ -65,7 +66,11 @@ var ErrNoData = errors.New("gp: no observations")
 // jitterFrac stabilizes the covariance Cholesky for near-duplicate points.
 const jitterFrac = 1e-10
 
-// FitModel conditions the GP on observations (xs[i], ys[i]).
+// FitModel conditions the GP on observations (xs[i], ys[i]). The solver
+// follows from the kernel type and the input dimension alone: an
+// Exponential kernel on 1-D inputs is the Ornstein–Uhlenbeck process and
+// is fitted in O(n·p) by a Kalman filter and smoother; anything else by
+// the dense O(n³) Cholesky factor of K.
 func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 	n := len(xs)
 	if n == 0 {
@@ -81,16 +86,20 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		return nil, fmt.Errorf("gp: negative noise variance %v", m.Noise)
 	}
 	jitter := jitterFrac * (m.Kernel.Variance() + 1)
-	tab, xi := newExpTable(m.Kernel, xs)
+	if k, ok := m.Kernel.(Exponential); ok && oneDim(xs) {
+		return m.fitStateSpace(k, xs, ys, jitter)
+	}
+	return m.fitDense(xs, ys, jitter)
+}
+
+// fitDense conditions the GP through the Cholesky factor of the dense
+// covariance matrix K + (noise + jitter) I.
+func (m Model) fitDense(xs [][]float64, ys []float64, jitter float64) (*Fit, error) {
+	n := len(xs)
 	k := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			var v float64
-			if tab != nil {
-				v = tab.cov(xi[i] - xi[j])
-			} else {
-				v = m.Kernel.Cov(Distance(xs[i], xs[j]))
-			}
+			v := m.Kernel.Cov(Distance(xs[i], xs[j]))
 			if i == j {
 				v += m.Noise + jitter
 			}
@@ -104,7 +113,7 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 	}
 
 	f := &Fit{model: m, x: deepCopy(xs), chol: chol, cholT: chol.T().Data,
-		tab: tab, xi: xi, nObs: n, nuggets: jitter}
+		nObs: n, nuggets: jitter}
 
 	p := len(m.Basis)
 	resid := append([]float64(nil), ys...)

@@ -9,69 +9,6 @@ const lanes = 4
 // lane holds one value per candidate of a block.
 type lane = [lanes]float64
 
-// maxExpTable caps the kernel table at 4096 distances (32 KB).
-const maxExpTable = 1 << 12
-
-// expTable evaluates an Exponential kernel at integer distances from a
-// table of exp(-d/theta). With integer 1-D inputs Distance is exactly
-// |d|, so alpha*e[d] is the bit pattern Exponential.Cov returns.
-type expTable struct {
-	k Exponential
-	e []float64 // e[d] = exp(-d/theta)
-}
-
-// newExpTable returns the kernel table of a fit and its inputs as
-// integers, or nil when the kernel is not Exponential or an input is
-// not an integer-valued 1-D point. The table covers the distances
-// between the inputs.
-func newExpTable(k Kernel, xs [][]float64) (*expTable, []int) {
-	e, ok := k.(Exponential)
-	if !ok {
-		return nil, nil
-	}
-	xi := make([]int, len(xs))
-	lo, hi := 0, 0
-	for i, x := range xs {
-		v, ok := intInput(x)
-		if !ok {
-			return nil, nil
-		}
-		xi[i] = v
-		if i == 0 || v < lo {
-			lo = v
-		}
-		if i == 0 || v > hi {
-			hi = v
-		}
-	}
-	t := &expTable{k: e, e: make([]float64, min(hi-lo+1, maxExpTable))}
-	for d := range t.e {
-		t.e[d] = math.Exp(-float64(d) / e.Theta)
-	}
-	return t, xi
-}
-
-// intInput returns a 1-D input as an integer when it is one of
-// magnitude below 2^24, where differences and their squares are exact.
-func intInput(x []float64) (int, bool) {
-	if len(x) != 1 {
-		return 0, false
-	}
-	v, ok := exactInt(x[0], 1<<24)
-	return int(v), ok
-}
-
-// cov returns the kernel at the integer distance |d|.
-func (t *expTable) cov(d int) float64 {
-	if d < 0 {
-		d = -d
-	}
-	if d < len(t.e) {
-		return t.k.Alpha * t.e[d]
-	}
-	return t.k.Cov(float64(d))
-}
-
 // Predict returns the kriging mean and standard deviation of the latent
 // function f at x (noise-free prediction): PredictInto for one point.
 func (f *Fit) Predict(x []float64) (mean, sd float64) {
@@ -82,13 +19,18 @@ func (f *Fit) Predict(x []float64) (mean, sd float64) {
 
 // PredictInto writes the kriging mean and standard deviation of the
 // latent function f (noise-free prediction) at every xs[c] into mean[c]
-// and sd[c]. Candidates are solved in blocks of four: one forward and
-// one back substitution per block, with each candidate's arithmetic in
-// the order a solve of that candidate alone would use, so every output
-// is the same bit pattern whatever the block it falls in.
+// and sd[c]. A state-space fit reads each candidate off the smoothed
+// states around it. A dense fit solves candidates in blocks of four: one
+// forward and one back substitution per block, with each candidate's
+// arithmetic in the order a solve of that candidate alone would use, so
+// every output is the same bit pattern whatever the block it falls in.
 func (f *Fit) PredictInto(xs [][]float64, mean, sd []float64) {
 	if len(mean) < len(xs) || len(sd) < len(xs) {
 		panic("gp: PredictInto output shorter than its inputs")
+	}
+	if f.ss != nil {
+		f.ss.predictInto(f, xs, mean, sd)
+		return
 	}
 	n, p := f.nObs, len(f.model.Basis)
 	buf := make([]lane, 2*n+3*p)
@@ -119,18 +61,8 @@ func (f *Fit) PredictInto(xs [][]float64, mean, sd []float64) {
 // and observation i.
 func (f *Fit) crossCov(blk *[lanes][]float64, ks []lane) {
 	for c, x := range blk {
-		xc, ok := 0, false
-		if f.tab != nil {
-			xc, ok = intInput(x)
-		}
-		if !ok {
-			for i := range ks {
-				ks[i][c] = f.model.Kernel.Cov(Distance(x, f.x[i]))
-			}
-			continue
-		}
-		for i, xi := range f.xi[:len(ks)] {
-			ks[i][c] = f.tab.cov(xc - xi)
+		for i := range ks {
+			ks[i][c] = f.model.Kernel.Cov(Distance(x, f.x[i]))
 		}
 	}
 }

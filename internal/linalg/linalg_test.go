@@ -319,3 +319,36 @@ func TestLUPivoting(t *testing.T) {
 		t.Fatalf("x = %v", x)
 	}
 }
+
+// The Into variants give the allocating functions' bits on reused,
+// dirty storage, in place where allowed.
+func TestIntoVariantsSameBits(t *testing.T) {
+	a := FromRows([][]float64{{4, 1, 0.5}, {1, 3, 0.25}, {0.5, 0.25, 2}})
+	b := []float64{1, -2, 0.5}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	l, err := Cholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPlace := a.Clone()
+	if err := CholeskyInto(inPlace, inPlace); err != nil {
+		t.Fatal(err)
+	}
+	same("CholeskyInto", inPlace.Data, l.Data)
+	x := append([]float64(nil), b...)
+	CholSolveInto(l, x, x)
+	same("CholSolveInto", x, CholSolve(l, b))
+	out := &Matrix{Rows: 3, Cols: 3, Data: []float64{9, 9, 9, 9, 9, 9, 9, 9, 9}}
+	MulInto(out, a, l)
+	same("MulInto", out.Data, Mul(a, l).Data)
+	v := []float64{9, 9, 9}
+	MulVecInto(v, a, b)
+	same("MulVecInto", v, MulVec(a, b))
+}

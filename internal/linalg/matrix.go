@@ -81,11 +81,19 @@ func (m *Matrix) T() *Matrix {
 
 // Mul returns a*b. It panics on dimension mismatch.
 func Mul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := NewMatrix(a.Rows, b.Cols)
+	MulInto(out, a, b)
+	return out
+}
+
+// MulInto writes a*b into out, which must be a.Rows x b.Cols and must
+// not share storage with a or b.
+func MulInto(out, a, b *Matrix) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d into %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
+	clear(out.Data)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
@@ -99,15 +107,21 @@ func Mul(a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
 // MulVec returns a*x for a vector x of length a.Cols.
 func MulVec(a *Matrix, x []float64) []float64 {
-	if a.Cols != len(x) {
+	out := make([]float64, a.Rows)
+	MulVecInto(out, a, x)
+	return out
+}
+
+// MulVecInto writes a*x into out, of length a.Rows, which must not share
+// storage with x.
+func MulVecInto(out []float64, a *Matrix, x []float64) {
+	if a.Cols != len(x) || a.Rows != len(out) {
 		panic("linalg: MulVec dimension mismatch")
 	}
-	out := make([]float64, a.Rows)
 	for i := 0; i < a.Rows; i++ {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		s := 0.0
@@ -116,7 +130,6 @@ func MulVec(a *Matrix, x []float64) []float64 {
 		}
 		out[i] = s
 	}
-	return out
 }
 
 // Dot returns the inner product of two equal-length vectors.
